@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the numba kernels against their pure-numpy twins.
 
-Runs each hot kernel on a few problem sizes and prints the median wall time
+The dense engines' rounds are batched BLAS-3 updates with no per-vector
+kernel, so only the solver, streaming and Jacobi kernels are compared. Runs
+each kernel on a few problem sizes and prints the median wall time
 per call for both backends plus the speedup. Invoke from the repo root:
 
     python benchmarks/bench_kernels.py [--sizes 100 200 400] [--repeats 30]
@@ -41,8 +43,6 @@ def make_cases(d, n_batch, rng):
     out_m = np.empty((d, d))
     scr_v = np.empty(d)
     scr_n = np.empty(n_batch)
-    peer_sv = np.ascontiguousarray(peers @ sigma)
-    peer_rq = np.einsum("ij,ij->i", peers, peer_sv) + 1.0
 
     jac_src = sigma * 0.1 + np.eye(d) * np.arange(1, d + 1)
     jac_tol = 1e-13 * np.linalg.norm(jac_src)
@@ -56,8 +56,6 @@ def make_cases(d, n_batch, rng):
     return [
         ("sym_matvec", lambda: K._np_sym_matvec(sigma, x, out_v),
          lambda: K._nb_sym_matvec(sigma, x, out_v)),
-        ("deflate(4 vecs)", lambda: K._np_deflate(sigma, peers, scr_v, out_m),
-         lambda: K._nb_deflate(sigma, peers, scr_v, out_m)),
         ("power_steps(T=10)", lambda: K._np_power_steps(sigma, v0, 10, scr_v, out_v),
          lambda: K._nb_power_steps(sigma, v0, 10, scr_v, out_v)),
         ("hebb_steps(T=10)", lambda: K._np_hebb_steps(sigma, v0, 10, 0.1, scr_v, out_v),
@@ -70,11 +68,6 @@ def make_cases(d, n_batch, rng):
         ("stoch_hebb_step",
          lambda: K._np_stoch_hebb_step(y, peers, v0, 1e-3, scr_n, scr_v, out_v),
          lambda: K._nb_stoch_hebb_step(y, peers, v0, 1e-3, scr_n, scr_v, out_v)),
-        ("eigengame_steps(T=10)",
-         lambda: K._np_eigengame_steps(sigma, v0, peers, peer_sv, peer_rq, 10,
-                                       1e-2, True, scr_v, out_v),
-         lambda: K._nb_eigengame_steps(sigma, v0, peers, peer_sv, peer_rq, 10,
-                                       1e-2, True, scr_v, out_v)),
         ("jacobi_eigh", jacobi(K._np_jacobi_eigh), jacobi(K._nb_jacobi_eigh)),
     ]
 

@@ -1,4 +1,9 @@
-"""Hot numeric kernels with numba builds and pure-numpy twins.
+"""Per-vector numeric kernels with numba builds and pure-numpy twins.
+
+The dense engines do not use these: their rounds run as batched BLAS-3
+updates (`engine.dense_round_update`). What remains here serves the
+single-vector solvers, `linalg.matvec`, the streaming engine's matrix-free
+steps and the Jacobi reference eigensolver.
 
 The numba builds are used by default. Setting the environment variable
 PARDEFL_NO_NUMBA to a non-empty value before import selects the numpy path,
@@ -45,16 +50,6 @@ else:
 
 def _np_sym_matvec(a, x, out):
     np.matmul(a, x, out=out)
-
-
-def _np_deflate(sigma, peers, scratch, out):
-    out[:] = sigma
-    for j in range(peers.shape[0]):
-        p = peers[j]
-        np.matmul(sigma, p, out=scratch)
-        lam = float(p @ scratch)
-        # lam * (p_i p_j) keeps the update exactly symmetric
-        out -= lam * np.outer(p, p)
 
 
 def _np_power_steps(sigma, v0, t_steps, scratch, out):
@@ -106,26 +101,6 @@ def _np_stoch_hebb_step(y, peers, x, eta, scratch_n, scratch_g, out):
     if nrm < _TINY:
         return -1.0
     np.divide(scratch_g, nrm, out=out)
-    return 0.0
-
-
-def _np_eigengame_steps(sigma, v0, peers, peer_sv, peer_rq, t_steps, eta,
-                        alpha_mode, scratch, out):
-    out[:] = v0
-    for _ in range(t_steps):
-        np.matmul(sigma, out, out=scratch)
-        for j in range(peers.shape[0]):
-            coef = float(peer_sv[j] @ out)
-            if alpha_mode:
-                scratch -= (coef / peer_rq[j]) * peer_sv[j]
-            else:
-                scratch -= coef * peers[j]
-        scratch *= eta
-        scratch += out
-        nrm = float(np.sqrt(scratch @ scratch))
-        if nrm < _TINY:
-            return -1.0
-        np.divide(scratch, nrm, out=out)
     return 0.0
 
 
@@ -195,27 +170,6 @@ def _nb_sym_matvec(a, x, out):
         for j in range(n):
             acc += a[i, j] * x[j]
         out[i] = acc
-
-
-@_jit
-def _nb_deflate(sigma, peers, scratch, out):
-    d = sigma.shape[0]
-    m = peers.shape[0]
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = sigma[i, j]
-    for k in range(m):
-        lam = 0.0
-        for i in range(d):
-            acc = 0.0
-            for j in range(d):
-                acc += sigma[i, j] * peers[k, j]
-            scratch[i] = acc
-            lam += peers[k, i] * acc
-        for i in range(d):
-            for j in range(d):
-                # lam * (p_i p_j) keeps the update exactly symmetric
-                out[i, j] -= lam * (peers[k, i] * peers[k, j])
 
 
 @_jit
@@ -340,43 +294,6 @@ def _nb_stoch_hebb_step(y, peers, x, eta, scratch_n, scratch_g, out):
 
 
 @_jit
-def _nb_eigengame_steps(sigma, v0, peers, peer_sv, peer_rq, t_steps, eta,
-                        alpha_mode, scratch, out):
-    d = sigma.shape[0]
-    m = peers.shape[0]
-    for i in range(d):
-        out[i] = v0[i]
-    for _ in range(t_steps):
-        for i in range(d):
-            acc = 0.0
-            for j in range(d):
-                acc += sigma[i, j] * out[j]
-            scratch[i] = acc
-        for k in range(m):
-            coef = 0.0
-            for j in range(d):
-                coef += peer_sv[k, j] * out[j]
-            if alpha_mode:
-                w = coef / peer_rq[k]
-                for j in range(d):
-                    scratch[j] -= w * peer_sv[k, j]
-            else:
-                for j in range(d):
-                    scratch[j] -= coef * peers[k, j]
-        nrm2 = 0.0
-        for j in range(d):
-            upd = out[j] + eta * scratch[j]
-            scratch[j] = upd
-            nrm2 += upd * upd
-        nrm = np.sqrt(nrm2)
-        if nrm < _TINY:
-            return -1.0
-        for j in range(d):
-            out[j] = scratch[j] / nrm
-    return 0.0
-
-
-@_jit
 def _nb_jacobi_eigh(a, v, max_sweeps, off_tol):
     d = a.shape[0]
     for i in range(d):
@@ -441,23 +358,19 @@ def _nb_jacobi_eigh(a, v, max_sweeps, off_tol):
 
 if USE_NUMBA:
     sym_matvec = _nb_sym_matvec
-    deflate_into = _nb_deflate
     power_steps = _nb_power_steps
     hebb_steps = _nb_hebb_steps
     batch_rayleigh_raw = _nb_batch_rayleigh
     deflated_batch_matvec_raw = _nb_deflated_batch_matvec
     stoch_hebb_step = _nb_stoch_hebb_step
-    eigengame_steps = _nb_eigengame_steps
     jacobi_eigh_raw = _nb_jacobi_eigh
 else:
     sym_matvec = _np_sym_matvec
-    deflate_into = _np_deflate
     power_steps = _np_power_steps
     hebb_steps = _np_hebb_steps
     batch_rayleigh_raw = _np_batch_rayleigh
     deflated_batch_matvec_raw = _np_deflated_batch_matvec
     stoch_hebb_step = _np_stoch_hebb_step
-    eigengame_steps = _np_eigengame_steps
     jacobi_eigh_raw = _np_jacobi_eigh
 
 
@@ -472,15 +385,10 @@ def warm_up() -> None:
     lams = np.ones(1)
     y = np.eye(2)
     sym_matvec(a, x, out_v)
-    deflate_into(a, peers, scratch, out_m)
     power_steps(a, peers[0], 1, scratch, out_v)
     hebb_steps(a, peers[0], 1, 0.5, scratch, out_v)
     batch_rayleigh_raw(y, x, scratch)
     deflated_batch_matvec_raw(y, peers, lams, x, scratch, out_v)
     stoch_hebb_step(y, peers, peers[0], 0.5, scratch, np.empty(2), out_v)
-    eigengame_steps(a, peers[0], peers, peers.copy(), lams, 1, 0.5, True,
-                    scratch, out_v)
-    eigengame_steps(a, peers[0], peers, peers.copy(), lams, 1, 0.5, False,
-                    scratch, out_v)
     work = np.array([[2.0, 1.0], [1.0, 2.0]])
     jacobi_eigh_raw(work, out_m, 30, 1e-13)

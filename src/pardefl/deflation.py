@@ -11,35 +11,40 @@ broadcast vectors,
 then warm-starts its local solver at its own previous output. The two
 procedures coincide when the inputs to the rank-1 terms are exact
 eigenvectors.
+
+The engine never builds Sigma_{k,l}. One batched update
+(`engine.dense_round_update`) applies it matrix-free to a block of worker
+rows, G = X Sigma - (M o (X V^T)) V with the peer mask M scaled by
+lambda_j = v_j^T Sigma v_j, so a local step costs a few GEMMs and no d x d
+buffer. Only `top1_fn` validation runs hand each worker its deflated matrix,
+built by `deflate`.
 """
 
 import numpy as np
 
-from . import _kernels
-from .engine import RunTrace, run_round_synchronous
+from .engine import RunTrace, dense_round_update, next_round, run_round_synchronous
 from .errors import ConfigError, NumericalError, PardeflError
-from .linalg import as_vector, check_unit, sym_matrix
+from .linalg import as_vector, check_unit_rows, sym_matrix
 from .seeding import unit_init
 from .solvers import HEBB, Top1Config, top1
 
 
 def deflate(sigma, vs) -> np.ndarray:
-    """One-shot deflation of sigma by a list of unit vectors.
+    """One-shot deflation Sigma - sum_j (v_j^T Sigma v_j) v_j v_j^T by unit vectors.
 
     Every rank-1 term uses the original sigma (not a nested partial
     deflation), matching the per-round recomputation of the parallel engine.
+    The result is exactly symmetric.
     """
     sm = sym_matrix(sigma)
     d = sm.shape[0]
-    peers = np.zeros((0, d)) if len(vs) == 0 else np.ascontiguousarray(
-        np.atleast_2d(np.asarray(vs, dtype=np.float64)))
+    peers = np.zeros((0, d)) if len(vs) == 0 else np.atleast_2d(
+        np.asarray(vs, dtype=np.float64))
     if peers.shape[1] != d:
         raise ConfigError(f"deflation vectors have dim {peers.shape[1]}, matrix has {d}")
-    for i in range(peers.shape[0]):
-        check_unit(peers[i], name=f"deflation vector {i + 1}")
-    out = np.empty_like(sm)
-    _kernels.deflate_into(sm, peers, np.empty(d), out)
-    return out
+    check_unit_rows(peers, name="deflation vector")
+    update = (peers.T * np.einsum("ij,ij->i", peers @ sm, peers)) @ peers
+    return sm - (update + update.T) / 2.0
 
 
 def sequential_deflation(sigma, n_components: int, cfg: Top1Config,
@@ -63,33 +68,24 @@ def sequential_deflation(sigma, n_components: int, cfg: Top1Config,
     return out
 
 
-def _deflation_update(sigma, cfg: Top1Config, top1_fn=None):
-    """Per-worker round update shared by the engine and by `replay_round`."""
-    d = sigma.shape[0]
+def _round_update(sigma, cfg: Top1Config, top1_fn=None):
+    """Round update shared by the engine and by `replay_round`."""
+    if top1_fn is None:
+        return dense_round_update(
+            sigma, "deflation", steps=cfg.steps,
+            eta=cfg.eta if cfg.method == HEBB else None,
+            align=cfg.sign_align_output)
 
-    def update(k, rnd, prev, _buffers={}):
-        if k not in _buffers:
-            _buffers[k] = (np.empty((d, d)), np.empty(d))
-        defl, scratch = _buffers[k]
-        _kernels.deflate_into(sigma, prev[: k - 1], scratch, defl)
-        warm = prev[k - 1]
-        try:
-            if top1_fn is not None:
-                return as_vector(top1_fn(defl, warm))
-            if cfg.method == HEBB:
-                out = np.empty(d)
-                status = _kernels.hebb_steps(defl, warm, cfg.steps, cfg.eta,
-                                             scratch, out)
-            else:
-                out = np.empty(d)
-                status = _kernels.power_steps(defl, warm, cfg.steps, scratch, out)
-            if status < 0.0:
-                raise NumericalError("local solver hit a (near-)zero iterate")
-            if cfg.sign_align_output and float(out @ warm) < 0.0:
-                out = -out
-            return out
-        except PardeflError as exc:
-            raise NumericalError(f"worker {k}, round {rnd}: {exc}") from exc
+    def update(rnd, prev):
+        def block(lo, hi):
+            rows = np.empty((hi - lo, prev.shape[1]))
+            for r in range(lo, hi):
+                try:
+                    rows[r - lo] = as_vector(top1_fn(deflate(sigma, prev[:r]), prev[r]))
+                except PardeflError as exc:
+                    raise NumericalError(f"worker {r + 1}, round {rnd}: {exc}") from exc
+            return rows
+        return block
 
     return update
 
@@ -109,11 +105,10 @@ def parallel_deflation(sigma, n_components: int, n_rounds: int,
     d = sm.shape[0]
     if not 1 <= n_components <= d:
         raise ConfigError(f"K must lie in [1, {d}], got {n_components}")
-    update = _deflation_update(sm, cfg, top1_fn)
     return run_round_synchronous(
         dim=d, n_workers=n_components, n_rounds=n_rounds, seed=seed,
-        update=update, algorithm="parallel_deflation", local_steps=cfg.steps,
-        mode=mode)
+        update=_round_update(sm, cfg, top1_fn), algorithm="parallel_deflation",
+        local_steps=cfg.steps, mode=mode)
 
 
 def replay_round(sigma, trace: RunTrace, rnd: int, cfg: Top1Config,
@@ -125,10 +120,5 @@ def replay_round(sigma, trace: RunTrace, rnd: int, cfg: Top1Config,
     """
     if not 2 <= rnd <= trace.n_rounds:
         raise ConfigError(f"can only replay rounds 2..{trace.n_rounds}, got {rnd}")
-    sm = sym_matrix(sigma)
-    update = _deflation_update(sm, cfg, top1_fn)
-    prev = trace.vectors[rnd - 2]
-    out = np.empty((trace.n_workers, trace.dim))
-    for k in range(1, trace.n_workers + 1):
-        out[k - 1] = prev[k - 1] if k > rnd else update(k, rnd, prev)
-    return out
+    return next_round(_round_update(sym_matrix(sigma), cfg, top1_fn), rnd,
+                      trace.vectors[rnd - 2])

@@ -1,18 +1,26 @@
 """EigenGame baselines generalized to multiple local steps per round.
 
-Both variants run on the same round/activation/broadcast skeleton as
-parallel deflation; only the per-step gradient differs. Following the
-reference implementations, gradients are NOT projected to the sphere's
-tangent space; the iterate is renormalized after each ascent step
-x <- (x + eta g)/||.||.
+Both variants run on the same round/activation/broadcast skeleton and the
+same batched update as parallel deflation (`engine.dense_round_update`);
+only the penalty term of the per-step gradient differs. For a block of
+worker rows X and the snapshot V the gradients are
+
+    mu:    G = X Sigma - (M o (X Sigma V^T)) V
+    alpha: G = X Sigma - (M o (X Sigma V^T) / rq) V Sigma,  rq_j = v_j^T Sigma v_j,
+
+with M the strictly lower-triangular peer mask, so V Sigma and rq are
+computed once per round. Following the reference implementations,
+gradients are NOT projected to the sphere's tangent space; the iterate is
+renormalized after each ascent step x <- (x + eta g)/||.||. The per-vector
+`eigengame_alpha_grad` / `eigengame_mu_grad` are the readable reference
+forms of the same gradients.
 """
 
 from typing import Literal
 
 import numpy as np
 
-from . import _kernels
-from .engine import RunTrace, run_round_synchronous
+from .engine import RunTrace, dense_round_update, run_round_synchronous
 from .errors import ConfigError, NumericalError
 from .linalg import as_vector, check_unit, sym_matrix
 from .seeding import rng_for
@@ -98,31 +106,8 @@ def run_eigengame(variant: EigenGameVariant, sigma, n_components: int,
         eta = default_eigengame_eta(sm, seed)
     elif not eta > 0.0:
         raise ConfigError(f"step size must be positive, got {eta!r}")
-    alpha_mode = variant == "alpha"
-
-    def update(k, rnd, prev, _buffers={}):
-        if k not in _buffers:
-            _buffers[k] = (np.empty((n_components, d)), np.empty(n_components),
-                           np.empty(d), np.empty(d), np.empty(d))
-        peer_sv, peer_rq, scratch, tmp, out = _buffers[k]
-        peers = prev[: k - 1]
-        for j in range(k - 1):
-            _kernels.sym_matvec(sm, peers[j], tmp)
-            peer_sv[j] = tmp
-            peer_rq[j] = float(peers[j] @ tmp)
-            if alpha_mode and peer_rq[j] <= 1e-12:
-                raise NumericalError(
-                    f"worker {k}, round {rnd}: peer {j + 1} has vanishing "
-                    f"Rayleigh quotient {peer_rq[j]!r}")
-        status = _kernels.eigengame_steps(
-            sm, prev[k - 1], peers, peer_sv[: k - 1], peer_rq[: k - 1],
-            local_steps, eta, alpha_mode, scratch, out)
-        if status < 0.0:
-            raise NumericalError(
-                f"worker {k}, round {rnd}: update collapsed to zero")
-        return out.copy()
-
     return run_round_synchronous(
         dim=d, n_workers=n_components, n_rounds=n_rounds, seed=seed,
-        update=update, algorithm=f"eigengame_{variant}",
+        update=dense_round_update(sm, variant, steps=local_steps, eta=eta),
+        algorithm=f"eigengame_{variant}",
         local_steps=local_steps, variant=variant, mode=mode)

@@ -3,24 +3,45 @@
 One run is L communication rounds over K workers. Worker k stays inactive
 (re-broadcasting its frozen initial vector) until round k; from then on it
 recomputes its estimate each round from the previous round's broadcast
-snapshot. Within a round the K worker updates are independent pure
-functions of that immutable snapshot, so the serial and threaded modes
-produce bitwise identical traces.
+snapshot. Within a round the worker updates are independent pure functions
+of that immutable snapshot.
+
+`run_round_synchronous` splits the workers into fixed row blocks of
+`BLOCK_ROWS` rows, a partition that depends only on K. Each round it asks
+the engine's update for the new vectors of every active block; thread mode
+maps the same blocks onto at most min(n_blocks, cpu count) threads. Serial
+mode, thread mode and `deflation.replay_round` therefore issue the same
+calls on the same operands and produce bitwise identical rounds.
+
+`dense_round_update` is the one update of the three dense engines. For a
+block of worker rows X it computes, per local step and without any d x d
+allocation,
+
+    G = X Sigma - (M o (X A^T)) B,
+
+where M is the strictly lower-triangular peer mask (worker k uses peers
+j < k) scaled per column, and A, B and the column scale come once per round
+from the snapshot: parallel deflation uses A = B = V with scale
+diag(V Sigma V^T), EigenGame-mu A = V Sigma, B = V with scale 1, and
+EigenGame-alpha A = B = V Sigma with scale 1 / diag(V Sigma V^T).
 """
 
 import csv
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .io import atomic_write_text, save_pdm1
 from .linalg import EigenSystem
 from .seeding import unit_init
 
 MODES = ("serial", "thread")
+BLOCK_ROWS = 8  # worker rows per block; fixed so every mode issues the same calls
+_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -90,14 +111,39 @@ class RunTrace:
                            rounds_active=max(0, rnd - k + 1))
 
 
+def row_blocks(n_workers: int) -> list[tuple[int, int]]:
+    """Fixed [lo, hi) row blocks of the workers; they depend only on K."""
+    return [(lo, min(lo + BLOCK_ROWS, n_workers))
+            for lo in range(0, n_workers, BLOCK_ROWS)]
+
+
+def next_round(update, rnd: int, prev: np.ndarray, map_fn=map) -> np.ndarray:
+    """Broadcast state after round `rnd`, computed from the snapshot `prev`.
+
+    `update(rnd, prev)` prepares the round and returns `block(lo, hi)`, the
+    new vectors of worker rows lo..hi-1 (workers lo+1..hi), all active.
+    Inactive rows keep their previous broadcast, their frozen initial vector.
+    `map_fn` runs the active blocks, serially or on a thread pool.
+    """
+    n_active = min(rnd, prev.shape[0])
+    block = update(rnd, prev)
+    spans = [(lo, min(hi, n_active)) for lo, hi in row_blocks(prev.shape[0])
+             if lo < n_active]
+    cur = prev.copy()
+    for (lo, hi), rows in zip(spans, map_fn(lambda span: block(*span), spans)):
+        cur[lo:hi] = rows
+    return cur
+
+
 def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
                           algorithm, local_steps, variant=None,
                           mode="serial") -> RunTrace:
-    """Drive `update(worker, round, snapshot) -> vector` across all rounds.
+    """Drive `update(round, snapshot) -> block(lo, hi)` across all rounds.
 
     `snapshot` is the read-only (K, d) broadcast state of the previous round
-    (round 0 holds the frozen initial vectors). Inactive workers are handled
-    here and never reach `update`.
+    (round 0 holds the frozen initial vectors); see `next_round`. Thread
+    mode runs the active row blocks of a round on at most
+    min(n_blocks, cpu count) threads.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown engine mode {mode!r}")
@@ -106,33 +152,88 @@ def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
     if n_rounds < n_workers:
         raise ConfigError(
             f"need at least as many rounds as workers, got L={n_rounds} < K={n_workers}")
-    inits = np.stack([unit_init(seed, k, dim) for k in range(1, n_workers + 1)])
-    inits.setflags(write=False)
+    prev = np.stack([unit_init(seed, k, dim) for k in range(1, n_workers + 1)])
+    prev.setflags(write=False)
 
     out = np.empty((n_rounds, n_workers, dim))
-    prev = inits
-    pool = ThreadPoolExecutor(max_workers=n_workers) if mode == "thread" else None
+    pool = None
+    if mode == "thread":
+        pool = ThreadPoolExecutor(
+            max_workers=min(len(row_blocks(n_workers)), os.cpu_count() or 1))
     try:
         for rnd in range(1, n_rounds + 1):
-            cur = np.empty((n_workers, dim))
-
-            def one(k, rnd=rnd, prev=prev, cur=cur):
-                cur[k - 1] = inits[k - 1] if k > rnd else update(k, rnd, prev)
-
-            if pool is None:
-                for k in range(1, n_workers + 1):
-                    one(k)
-            else:
-                list(pool.map(one, range(1, n_workers + 1)))
-            cur.setflags(write=False)
-            out[rnd - 1] = cur
-            prev = cur
+            prev = next_round(update, rnd, prev,
+                              map if pool is None else pool.map)
+            prev.setflags(write=False)
+            out[rnd - 1] = prev
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
     out.setflags(write=False)
     return RunTrace(algorithm=algorithm, local_steps=local_steps, seed=seed,
                     vectors=out, variant=variant)
+
+
+def dense_round_update(sigma: np.ndarray, penalty: str, *, steps: int,
+                       eta: float | None = None, align: bool = False):
+    """The round update of the three dense engines, for `next_round`.
+
+    penalty "deflation", "mu" or "alpha" picks A, B and the column scale of
+    G = X Sigma - (M o (X A^T)) B (module docstring). Each of the `steps`
+    local steps maps every row x of a block to G/||G|| when eta is None
+    (power iteration) and to (x + eta G)/||.|| otherwise (Hebb's rule and
+    EigenGame ascent). With `align` each result row is then flipped to a
+    non-negative inner product with its warm start. `sigma` must be exactly
+    symmetric; no d x d array is allocated.
+    """
+    if penalty not in ("deflation", "mu", "alpha"):
+        raise ConfigError(f"unknown dense penalty {penalty!r}")
+    zero_message = ("local solver hit a (near-)zero iterate"
+                    if penalty == "deflation" else "update collapsed to zero")
+
+    def update(rnd, prev):
+        n_active = min(rnd, prev.shape[0])
+        # rows v_j Sigma of the active snapshot; they also serve the first
+        # step's X Sigma
+        v_sigma = prev[:n_active] @ sigma
+        peers, peers_sigma = prev[: n_active - 1], v_sigma[: n_active - 1]
+        rq = np.einsum("ij,ij->i", peers_sigma, peers)
+        if penalty == "deflation":
+            a, b, scale = peers, peers, rq
+        elif penalty == "mu":
+            a, b, scale = peers_sigma, peers, np.ones_like(rq)
+        else:
+            vanishing = np.flatnonzero(rq <= 1e-12)
+            if vanishing.size:
+                j = int(vanishing[0])
+                raise NumericalError(
+                    f"worker {j + 2}, round {rnd}: peer {j + 1} has vanishing "
+                    f"Rayleigh quotient {float(rq[j])!r}")
+            a, b, scale = peers_sigma, peers_sigma, 1.0 / rq
+
+        def block(lo, hi):
+            m = hi - 1  # peers of the block's last row
+            weights = np.tri(hi - lo, m, k=lo - 1) * scale[:m]
+            x, xs = prev[lo:hi], v_sigma[lo:hi]
+            for step in range(steps):
+                if step:
+                    xs = x @ sigma
+                g = xs - (weights * (x @ a[:m].T)) @ b[:m] if m else xs
+                if eta is not None:
+                    g = x + eta * g
+                norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+                zero = np.flatnonzero(norms < _TINY)
+                if zero.size:
+                    raise NumericalError(
+                        f"worker {lo + int(zero[0]) + 1}, round {rnd}: {zero_message}")
+                x = g / norms[:, None]
+            if align:
+                x[np.einsum("ij,ij->i", x, prev[lo:hi]) < 0.0] *= -1.0
+            return x
+
+        return block
+
+    return update
 
 
 def attach_oracle(trace: RunTrace, truth: EigenSystem,

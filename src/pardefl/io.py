@@ -61,7 +61,14 @@ def load_csv_matrix(path) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Load a matrix, picking the format from the file suffix (.pdm1 or CSV)."""
+    """Load a matrix, picking the format from the file suffix (.pdm1 or CSV).
+
+    NaN or infinite entries are a data error.
+    """
     if str(path).lower().endswith(".pdm1"):
-        return load_pdm1(path)
-    return load_csv_matrix(path)
+        data = load_pdm1(path)
+    else:
+        data = load_csv_matrix(path)
+    if not np.all(np.isfinite(data)):
+        raise DataFormatError(f"{path}: data matrix has non-finite entries")
+    return data

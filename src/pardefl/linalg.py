@@ -42,6 +42,19 @@ def check_unit(v: np.ndarray, tol: float = 1e-6, name: str = "vector") -> None:
         raise ConfigError(f"{name} must be unit norm, got ||v|| = {nrm!r}")
 
 
+def check_unit_rows(rows: np.ndarray, tol: float = 1e-6, name: str = "vector") -> None:
+    """`check_unit` on every row of a (m, d) stack in one pass.
+
+    The error names the first offending row as "<name> <i>", 1-based.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    bad = np.flatnonzero(np.abs(norms - 1.0) > tol)
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigError(
+            f"{name} {i + 1} must be unit norm, got ||v|| = {float(norms[i])!r}")
+
+
 def sym_matrix(entries) -> np.ndarray:
     """Validate a square matrix as symmetric and return its symmetrized copy.
 

@@ -10,9 +10,10 @@ so the ground-truth eigensystem is known by construction.
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import EigenSystem, as_matrix, check_unit, reference_eigh, sym_matrix
+from .linalg import (EigenSystem, as_matrix, check_unit_rows, reference_eigh,
+                     sym_matrix)
 from .seeding import rng_for
-from .stochastic import GaussianStreamProvider, batch_rayleigh
+from .stochastic import GaussianStreamProvider
 
 
 def recovery_error(truth, est) -> float:
@@ -21,9 +22,8 @@ def recovery_error(truth, est) -> float:
     e = np.asarray(est, dtype=np.float64)
     if t.shape != e.shape or t.ndim != 2:
         raise ConfigError(f"shape mismatch: truth {t.shape} vs estimate {e.shape}")
-    for i in range(t.shape[0]):
-        check_unit(t[i], name=f"truth vector {i + 1}")
-        check_unit(e[i], name=f"estimate vector {i + 1}")
+    check_unit_rows(t, name="truth vector")
+    check_unit_rows(e, name="estimate vector")
     diff = np.linalg.norm(t - e, axis=1)
     summ = np.linalg.norm(t + e, axis=1)
     per_k = np.minimum(diff, summ) ** 2
@@ -35,30 +35,28 @@ def discounted_rayleigh(est, sigma=None, data=None) -> float:
 
     Exactly one of `sigma` / `data` must be set. The data path never forms
     S: it evaluates sum_k ||Y v_k||^2 / (n k), i.e. the quadratic form of
-    the row-averaged Gram matrix Y^T Y / n.
+    the row-averaged Gram matrix Y^T Y / n, from one product Y V^T.
     """
     e = np.asarray(est, dtype=np.float64)
     if e.ndim != 2:
         raise ConfigError("estimates must be a (K, d) stack")
-    for i in range(e.shape[0]):
-        check_unit(e[i], name=f"estimate vector {i + 1}")
+    check_unit_rows(e, name="estimate vector")
     if (sigma is None) == (data is None):
         raise ConfigError("pass exactly one of sigma= or data=")
-    total = 0.0
     if sigma is not None:
         sm = sym_matrix(sigma)
         if sm.shape[0] != e.shape[1]:
             raise ConfigError(f"dimension mismatch: {sm.shape} vs {e.shape}")
+        total = 0.0
         for k in range(e.shape[0]):
             total += float(e[k] @ sm @ e[k]) / (k + 1)
-    else:
-        y = as_matrix(data, "data matrix")
-        if y.shape[1] != e.shape[1]:
-            raise ConfigError(f"dimension mismatch: {y.shape} vs {e.shape}")
-        n = y.shape[0]
-        for k in range(e.shape[0]):
-            total += batch_rayleigh(y, e[k]) / (n * (k + 1))
-    return total
+        return total
+    y = as_matrix(data, "data matrix")
+    if y.shape[1] != e.shape[1]:
+        raise ConfigError(f"dimension mismatch: {y.shape} vs {e.shape}")
+    proj = y @ e.T
+    weights = 1.0 / (y.shape[0] * np.arange(1, e.shape[0] + 1))
+    return float(np.einsum("ij,ij->j", proj, proj) @ weights)
 
 
 def spectrum_powerlaw(dim: int) -> np.ndarray:

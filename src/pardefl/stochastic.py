@@ -195,31 +195,36 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
         raise ConfigError(f"local step count must be >= 1, got {local_steps}")
     eta = resolve_schedule(schedule, provider, n_rounds * local_steps, seed)
 
-    def update(k, rnd, prev, _buffers={}):
-        if k not in _buffers:
-            _buffers[k] = (np.empty(n), np.empty(d), np.empty(d))
-        scratch_n, scratch_g, out = _buffers[k]
-        peers = prev[: k - 1]
-        v = prev[k - 1].copy()
-        for t in range(1, local_steps + 1):
-            try:
-                y = np.ascontiguousarray(provider.batch(k, rnd, t), dtype=np.float64)
-            except Exception as exc:
-                raise StreamError(
-                    f"batch source failed at worker {k}, round {rnd}, step {t}: {exc}"
-                ) from exc
-            if y.shape != (n, d):
-                raise StreamError(
-                    f"batch at worker {k}, round {rnd}, step {t} has shape "
-                    f"{y.shape}, expected {(n, d)}")
-            step_eta = eta((rnd - 1) * local_steps + (t - 1))
-            status = _kernels.stoch_hebb_step(y, peers, v, step_eta,
-                                              scratch_n, scratch_g, out)
-            if status < 0.0:
-                raise NumericalError(
-                    f"update collapsed at worker {k}, round {rnd}, step {t}")
-            v[:] = out
-        return v.copy()
+    def update(rnd, prev):
+        def block(lo, hi):
+            rows = np.empty((hi - lo, d))
+            scratch_n, scratch_g, out = np.empty(n), np.empty(d), np.empty(d)
+            for r in range(lo, hi):
+                k = r + 1
+                peers = prev[:r]
+                v = rows[r - lo]
+                v[:] = prev[r]
+                for t in range(1, local_steps + 1):
+                    try:
+                        y = np.ascontiguousarray(provider.batch(k, rnd, t),
+                                                 dtype=np.float64)
+                    except Exception as exc:
+                        raise StreamError(
+                            f"batch source failed at worker {k}, round {rnd}, "
+                            f"step {t}: {exc}") from exc
+                    if y.shape != (n, d):
+                        raise StreamError(
+                            f"batch at worker {k}, round {rnd}, step {t} has shape "
+                            f"{y.shape}, expected {(n, d)}")
+                    step_eta = eta((rnd - 1) * local_steps + (t - 1))
+                    status = _kernels.stoch_hebb_step(y, peers, v, step_eta,
+                                                      scratch_n, scratch_g, out)
+                    if status < 0.0:
+                        raise NumericalError(
+                            f"update collapsed at worker {k}, round {rnd}, step {t}")
+                    v[:] = out
+            return rows
+        return block
 
     return run_round_synchronous(
         dim=d, n_workers=n_components, n_rounds=n_rounds, seed=seed,

@@ -256,6 +256,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")])
         assert code == 4
 
+    def test_nan_csv_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("1.0,2.0\nnan,0.5\n3.0,1.0\n")
+        code = main(["run", "--algorithm", "parallel_deflation", "--data",
+                     str(path), "--K", "1", "--L", "2",
+                     "--out", str(tmp_path / "x")])
+        assert code == 4
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_inf_pdm1_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "inf.pdm1"
+        save_pdm1(path, np.array([[1.0, 2.0], [np.inf, 0.5], [3.0, 1.0]]))
+        code = main(["run", "--algorithm", "eigengame_mu", "--data",
+                     str(path), "--K", "1", "--L", "2",
+                     "--out", str(tmp_path / "x")])
+        assert code == 4
+        assert "non-finite" in capsys.readouterr().err
+
     def test_success_exit(self, tmp_path):
         code = main(["run", "--algorithm", "parallel_deflation", "--spectrum",
                      "powerlaw", "--d", "10", "--K", "2", "--L", "4",

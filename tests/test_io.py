@@ -64,3 +64,13 @@ def test_load_matrix_dispatch(tmp_path, rng):
     csv.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in a) + "\n")
     assert np.array_equal(load_matrix(pdm), a)
     assert np.allclose(load_matrix(csv), a, atol=0)
+
+
+def test_load_matrix_rejects_non_finite(tmp_path):
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("1.0,nan\n2.0,3.0\n")
+    pdm1_path = tmp_path / "m.pdm1"
+    save_pdm1(pdm1_path, np.array([[1.0, -np.inf]]))
+    for path in (csv_path, pdm1_path):
+        with pytest.raises(DataFormatError, match="non-finite"):
+            load_matrix(path)

@@ -1,5 +1,5 @@
 """Equivalence of the numba kernels and their numpy twins, plus the
-allocation discipline the streaming module relies on."""
+allocation discipline the streaming and dense engines rely on."""
 
 import tracemalloc
 
@@ -8,8 +8,8 @@ import pytest
 
 from pardefl import _kernels as K
 
-pytestmark = pytest.mark.skipif(not K.USE_NUMBA,
-                                reason="numba backend disabled; twins coincide")
+twins = pytest.mark.skipif(not K.USE_NUMBA,
+                           reason="numba backend disabled; twins coincide")
 
 
 def _rand_sym(rng, d):
@@ -22,6 +22,7 @@ def _unit_rows(rng, m, d):
     return np.ascontiguousarray(v / np.linalg.norm(v, axis=1, keepdims=True))
 
 
+@twins
 def test_sym_matvec_equivalence(rng):
     for _ in range(10):
         d = int(rng.integers(1, 40))
@@ -32,16 +33,7 @@ def test_sym_matvec_equivalence(rng):
         assert np.allclose(o1, o2, rtol=1e-13, atol=1e-13)
 
 
-def test_deflate_equivalence(rng):
-    for _ in range(10):
-        d, m = int(rng.integers(2, 24)), int(rng.integers(0, 4))
-        a, peers = _rand_sym(rng, d), _unit_rows(rng, m, d)
-        o1, o2 = np.empty((d, d)), np.empty((d, d))
-        K._np_deflate(a, peers, np.empty(d), o1)
-        K._nb_deflate(a, peers, np.empty(d), o2)
-        assert np.allclose(o1, o2, rtol=1e-12, atol=1e-12)
-
-
+@twins
 def test_power_and_hebb_equivalence(rng):
     for _ in range(8):
         d = int(rng.integers(2, 24))
@@ -58,6 +50,7 @@ def test_power_and_hebb_equivalence(rng):
             assert np.allclose(o1, o2, rtol=1e-12, atol=1e-12)
 
 
+@twins
 def test_batch_kernels_equivalence(rng):
     for _ in range(8):
         n, d, m = int(rng.integers(1, 20)), int(rng.integers(2, 24)), int(rng.integers(0, 4))
@@ -79,24 +72,7 @@ def test_batch_kernels_equivalence(rng):
         assert np.allclose(o1, o2, rtol=1e-12, atol=1e-12)
 
 
-def test_eigengame_kernel_equivalence(rng):
-    for _ in range(8):
-        d, m = int(rng.integers(2, 16)), int(rng.integers(0, 3))
-        a = _rand_sym(rng, d)
-        v = _unit_rows(rng, 1, d)[0]
-        peers = _unit_rows(rng, m, d)
-        peer_sv = np.ascontiguousarray(peers @ a)
-        peer_rq = np.einsum("ij,ij->i", peers, peer_sv) + 2.0
-        for alpha in (True, False):
-            o1, o2 = np.empty(d), np.empty(d)
-            s1 = K._np_eigengame_steps(a, v, peers, peer_sv, peer_rq, 4, 0.1,
-                                       alpha, np.empty(d), o1)
-            s2 = K._nb_eigengame_steps(a, v, peers, peer_sv, peer_rq, 4, 0.1,
-                                       alpha, np.empty(d), o2)
-            assert s1 == s2 == 0.0
-            assert np.allclose(o1, o2, rtol=1e-12, atol=1e-12)
-
-
+@twins
 def test_jacobi_equivalence(rng):
     for _ in range(6):
         d = int(rng.integers(1, 16))
@@ -119,7 +95,8 @@ def test_degenerate_status(rng):
 
 
 class TestAllocationCap:
-    """The streaming path must never materialize a d x d buffer."""
+    """The streaming path must never materialize a d x d buffer, and the
+    dense engines must not allocate one per worker."""
 
     D = 10_000
     N = 64
@@ -153,3 +130,23 @@ class TestAllocationCap:
 
         peak = self._measure(ops)
         assert peak < dense_bytes / 8, f"peak {peak} bytes vs dense {dense_bytes}"
+
+    def test_dense_engine_peak_flat_in_k(self):
+        from pardefl import Top1Config, parallel_deflation, run_eigengame
+        from pardefl.metrics import random_covariance, spectrum_powerlaw
+
+        d = 400
+        sigma, _ = random_covariance(spectrum_powerlaw(d), seed=0)
+        hebb = Top1Config(method="hebb", steps=2, eta=0.5)
+        runs = {
+            "power": lambda k: parallel_deflation(sigma, k, 16, Top1Config(steps=2), 0),
+            "hebb": lambda k: parallel_deflation(sigma, k, 16, hebb, 0),
+            "mu": lambda k: run_eigengame("mu", sigma, k, 16, 2, eta=0.1, seed=0),
+            "alpha": lambda k: run_eigengame("alpha", sigma, k, 16, 2, eta=0.1, seed=0),
+        }
+        dense_bytes = d * d * 8
+        for name, run in runs.items():
+            growth = self._measure(lambda: run(16)) - self._measure(lambda: run(4))
+            assert growth < dense_bytes, (
+                f"{name}: peak grows by {growth} bytes from K=4 to K=16, "
+                f"one d x d is {dense_bytes}")

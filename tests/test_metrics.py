@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pardefl import ConfigError, covariance, normalize, recovery_error, reference_eigh
+from pardefl import (ConfigError, batch_rayleigh, covariance, normalize,
+                     recovery_error, reference_eigh)
 from pardefl.metrics import (discounted_rayleigh, random_covariance,
                              spectrum_expdecay, spectrum_powerlaw)
 
@@ -40,6 +41,16 @@ class TestRecoveryError:
         with pytest.raises(ConfigError):
             recovery_error(np.eye(3), np.eye(2))
 
+    def test_non_unit_named(self):
+        est = np.eye(3)
+        est[1] *= 2.0
+        est[2] *= 3.0
+        with pytest.raises(ConfigError,
+                           match=r"^estimate vector 2 must be unit norm, got \|\|v\|\| = 2\.0$"):
+            recovery_error(np.eye(3), est)
+        with pytest.raises(ConfigError, match="^truth vector 1 must be unit norm"):
+            recovery_error(0.5 * np.eye(3), np.eye(3))
+
 
 class TestDiscountedRayleigh:
     def test_oracle_vectors_give_weighted_values(self):
@@ -68,6 +79,19 @@ class TestDiscountedRayleigh:
             dense = discounted_rayleigh(est, sigma=sigma)
             streamed = discounted_rayleigh(est, data=y)
             assert abs(dense - streamed) <= 1e-10 * max(1.0, abs(dense))
+
+    def test_data_path_matches_per_vector_sum(self, rng):
+        y = rng.standard_normal((500, 30))
+        est = np.stack([normalize(rng.standard_normal(30)) for _ in range(8)])
+        expect = sum(batch_rayleigh(y, est[k]) / (500 * (k + 1)) for k in range(8))
+        got = discounted_rayleigh(est, data=y)
+        assert abs(got - expect) <= 1e-12 * abs(expect)
+
+    def test_non_unit_estimate_named(self):
+        est = np.eye(3)
+        est[2] *= 0.5
+        with pytest.raises(ConfigError, match="^estimate vector 3 must be unit norm"):
+            discounted_rayleigh(est, data=np.ones((4, 3)))
 
     def test_exactly_one_source(self):
         with pytest.raises(ConfigError):
