@@ -30,7 +30,10 @@ from .errors import (ConfigError, DataFormatError, NumericalError,
 from .io import atomic_write_text, load_matrix
 from .linalg import covariance
 from .metrics import (discounted_rayleigh, gaussian_stream, random_covariance,
-                      recovery_error, spectrum_expdecay, spectrum_powerlaw)
+                      spectrum_expdecay, spectrum_powerlaw)
+# Not called here (the synthetic metric reads `attach_oracle`'s distances),
+# but perfbench/run.py wraps it by name on this module.
+from .metrics import recovery_error  # noqa: F401
 from .seeding import unit_init
 from .solvers import Top1Config
 from .stochastic import (MatrixRowProvider, StepSchedule,
@@ -175,12 +178,19 @@ class _Problem:
         return MatrixRowProvider(self.data, self.cfg.batch_size, trial_seed)
 
     def metric_series(self, trace: RunTrace) -> np.ndarray:
+        """The per-round metric of a trace, scored in one pass.
+
+        Synthetic sources: the RMS over workers of the oracle distances
+        `attach_oracle` stored, i.e. each round's `recovery_error`. Data
+        sources: the discounted Rayleigh score, from Sigma / n when a dense
+        engine has built Sigma = Y^T Y, else from the data rows.
+        """
         if self.truth is not None:
-            top = self.truth.vectors[: trace.n_workers]
-            return np.array([recovery_error(top, trace.vectors[i])
-                             for i in range(trace.n_rounds)])
-        return np.array([discounted_rayleigh(trace.vectors[i], data=self.data)
-                         for i in range(trace.n_rounds)])
+            return np.sqrt(np.mean(trace.errors ** 2, axis=1))
+        if self._sigma is not None:
+            return discounted_rayleigh(trace.vectors,
+                                       sigma=self._sigma / self.data.shape[0])
+        return discounted_rayleigh(trace.vectors, data=self.data)
 
 
 def _sequential_trace(cfg: ExperimentConfig, sigma, trial_seed: int) -> RunTrace:
@@ -232,14 +242,24 @@ def run_trial(cfg: ExperimentConfig, problem: _Problem, trial: int) -> RunTrace:
 
 
 def _trial_csv(trace: RunTrace, metric: np.ndarray, trial: int) -> str:
+    n_workers, steps = trace.n_workers, trace.local_steps
+    # every float is formatted once; a round's rows share one prefix
+    metric_text = list(map(repr, metric.tolist()))
+    errors = ([""] * (trace.n_rounds * n_workers) if trace.errors is None
+              else list(map(repr, trace.errors.ravel().tolist())))
     lines = [TRIAL_HEADER]
-    for l in range(trace.n_rounds):
-        for k in range(trace.n_workers):
-            err = "" if trace.errors is None else repr(float(trace.errors[l, k]))
-            lines.append(
-                f"{trial},{trace.algorithm},{trace.local_steps},{l + 1},"
-                f"{trace.local_steps * (l + 1)},{k + 1},{err},{float(metric[l])!r}")
+    for l, value in enumerate(metric_text):
+        prefix = f"{trial},{trace.algorithm},{steps},{l + 1},{steps * (l + 1)},"
+        row_errors = errors[l * n_workers:(l + 1) * n_workers]
+        lines += [f"{prefix}{k},{err},{value}" for k, err in enumerate(row_errors, 1)]
     return "\n".join(lines) + "\n"
+
+
+def _aggregate_rows(cfg: ExperimentConfig, stack: np.ndarray) -> list[str]:
+    """Per-round mean/min/max over the trials of one config (AGGREGATE_HEADER)."""
+    return [f"{cfg.algorithm},{cfg.T},{l + 1},{cfg.T * (l + 1)},"
+            f"{float(np.mean(col))!r},{float(np.min(col))!r},{float(np.max(col))!r}"
+            for l, col in enumerate(stack.T)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -261,13 +281,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         atomic_write_text(path, _trial_csv(trace, metric, trial))
         paths.append(path)
     stack = np.stack(series)
-    lines = [AGGREGATE_HEADER]
-    n_rounds = stack.shape[1]
-    for l in range(n_rounds):
-        col = stack[:, l]
-        lines.append(f"{cfg.algorithm},{cfg.T},{l + 1},{cfg.T * (l + 1)},"
-                     f"{float(np.mean(col))!r},{float(np.min(col))!r},{float(np.max(col))!r}")
     aggregate = outdir / "aggregate.csv"
+    lines = [AGGREGATE_HEADER, *_aggregate_rows(cfg, stack)]
     atomic_write_text(aggregate, "\n".join(lines) + "\n")
     return {"trials": paths, "aggregate": aggregate, "metric": stack}
 
@@ -295,13 +310,7 @@ def run_comparison(cfgs: list[ExperimentConfig], out_path) -> Path:
                 for i, cfg in enumerate(cfgs)]
     lines = [AGGREGATE_HEADER]
     for cfg in cfgs:
-        result = run_experiment(cfg)
-        stack = result["metric"]
-        for l in range(stack.shape[1]):
-            col = stack[:, l]
-            lines.append(f"{cfg.algorithm},{cfg.T},{l + 1},{cfg.T * (l + 1)},"
-                         f"{float(np.mean(col))!r},{float(np.min(col))!r},"
-                         f"{float(np.max(col))!r}")
+        lines += _aggregate_rows(cfg, run_experiment(cfg)["metric"])
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_path, "\n".join(lines) + "\n")

@@ -22,13 +22,12 @@ import numpy as np
 
 from .engine import RunTrace, dense_round_update, run_round_synchronous
 from .errors import ConfigError, NumericalError
-from .linalg import as_vector, check_unit, sym_matrix
-from .seeding import rng_for
+from .games import player_operands
+from .linalg import sym_matrix
+from .seeding import ETA_STREAM, rng_for
 from .solvers import pow_iter
 
 EigenGameVariant = Literal["alpha", "mu"]
-
-_ETA_STREAM = 982451653
 
 
 def _check_variant(variant: str) -> str:
@@ -37,25 +36,12 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-def _prep_grad(sigma, v, peers):
-    sm = sym_matrix(sigma)
-    vv = as_vector(v)
-    d = sm.shape[0]
-    if vv.shape[0] != d:
-        raise ConfigError(f"dimension mismatch: {sm.shape} vs {vv.shape}")
-    pe = (np.asarray(peers, dtype=np.float64).reshape(-1, d)
-          if np.size(peers) else np.zeros((0, d)))
-    for i in range(pe.shape[0]):
-        check_unit(pe[i], name=f"peer vector {i + 1}")
-    return sm, vv, np.ascontiguousarray(pe)
-
-
 def eigengame_alpha_grad(sigma, v, peers) -> np.ndarray:
     """Utility-ascent gradient with Rayleigh-normalized penalty terms:
 
         g = Sigma v - sum_j (p_j^T Sigma v / p_j^T Sigma p_j) Sigma p_j
     """
-    sm, vv, pe = _prep_grad(sigma, v, peers)
+    sm, vv, pe = player_operands(sigma, v, peers, unit_peers=True)
     sv = sm @ vv
     g = sv.copy()
     for j in range(pe.shape[0]):
@@ -70,7 +56,7 @@ def eigengame_alpha_grad(sigma, v, peers) -> np.ndarray:
 
 def eigengame_mu_grad(sigma, v, peers) -> np.ndarray:
     """Deflation-style ascent gradient g = Sigma v - sum_j (p_j^T Sigma v) p_j."""
-    sm, vv, pe = _prep_grad(sigma, v, peers)
+    sm, vv, pe = player_operands(sigma, v, peers, unit_peers=True)
     sv = sm @ vv
     g = sv.copy()
     for j in range(pe.shape[0]):
@@ -82,7 +68,7 @@ def default_eigengame_eta(sigma, seed: int) -> float:
     """0.1 over a power-iteration estimate of the top eigenvalue."""
     sm = sym_matrix(sigma)
     d = sm.shape[0]
-    v0 = rng_for(seed, _ETA_STREAM).standard_normal(d)
+    v0 = rng_for(seed, ETA_STREAM).standard_normal(d)
     v0 /= max(float(np.linalg.norm(v0)), 1e-300)
     v = pow_iter(sm, v0, 64)
     lam = abs(float(v @ sm @ v))

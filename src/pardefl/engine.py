@@ -252,9 +252,14 @@ def attach_oracle(trace: RunTrace, truth: EigenSystem,
         raise ConfigError(
             f"dimension mismatch: trace d={trace.dim}, oracle d={truth.dim}")
     top = truth.vectors[:k]
-    diff = np.linalg.norm(trace.vectors - top[None, :, :], axis=2)
-    summ = np.linalg.norm(trace.vectors + top[None, :, :], axis=2)
-    errors = np.minimum(diff, summ)
+    # ||v -+ u|| as np.linalg.norm computes it, through one (L, K, d) buffer
+    buf = np.empty(trace.vectors.shape)
+    dists = []
+    for op in (np.subtract, np.add):
+        op(trace.vectors, top, out=buf)
+        np.multiply(buf, buf, out=buf)
+        dists.append(np.sqrt(np.add.reduce(buf, axis=2)))
+    errors = np.minimum(*dists)
     errors.setflags(write=False)
 
     lead = truth.values[: min(k + 1, truth.values.shape[0])]

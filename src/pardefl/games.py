@@ -11,21 +11,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError, NumericalError
-from .linalg import as_vector, check_unit, normalize, reference_eigh, sym_matrix
+from .linalg import (as_vector, check_unit, check_unit_rows, normalize,
+                     reference_eigh, sym_matrix)
 from .seeding import rng_for
 
 _MIN_ANGLE = 1e-6
 _STRICT_RTOL = 1e-12
 
 
-def _prep(sigma, v, peers):
+def player_operands(sigma, v, peers, unit_peers: bool = False):
+    """Validated (Sigma, v, peer stack) of one player's payoff or gradient.
+
+    The peer stack is (m, d) and C-contiguous, (0, d) for no peers; with
+    `unit_peers` every peer must be unit norm.
+    """
     sm = sym_matrix(sigma)
     vv = as_vector(v)
     d = sm.shape[0]
     if vv.shape[0] != d:
         raise ConfigError(f"dimension mismatch: {sm.shape} vs {vv.shape}")
-    pe = (np.asarray(peers, dtype=np.float64).reshape(-1, d)
+    pe = (np.ascontiguousarray(np.asarray(peers, dtype=np.float64).reshape(-1, d))
           if np.size(peers) else np.zeros((0, d)))
+    if unit_peers:
+        check_unit_rows(pe, name="peer vector")
     return sm, vv, pe
 
 
@@ -35,7 +43,7 @@ def utility_U(v, peers, sigma) -> float:
 
         U = v^T S v - sum_j (p_j^T S v)^2 / (p_j^T S p_j)
     """
-    sm, vv, pe = _prep(sigma, v, peers)
+    sm, vv, pe = player_operands(sigma, v, peers)
     check_unit(vv)
     sv = sm @ vv
     total = float(vv @ sv)
@@ -54,10 +62,9 @@ def utility_V(v, peers, sigma) -> float:
 
     identically v^T (deflated S) v for unit peers.
     """
-    sm, vv, pe = _prep(sigma, v, peers)
+    sm, vv, pe = player_operands(sigma, v, peers)
     check_unit(vv)
-    for j in range(pe.shape[0]):
-        check_unit(pe[j], name=f"peer vector {j + 1}")
+    check_unit_rows(pe, name="peer vector")
     sv = sm @ vv
     total = float(vv @ sv)
     for j in range(pe.shape[0]):

@@ -2,7 +2,8 @@
 
 `recovery_error` is the sign-invariant RMS distance to the true
 eigenvectors; `discounted_rayleigh` is the oracle-free quality score
-sum_k v_k^T S v_k / k, computable densely or streamed from raw data rows.
+sum_k v_k^T S v_k / k, computable densely or streamed from raw data rows,
+for one (K, d) stack or for all L rounds of a trace at once.
 Synthetic covariances are built as Q Lambda Q^T with a Haar-random rotation
 so the ground-truth eigensystem is known by construction.
 """
@@ -30,33 +31,44 @@ def recovery_error(truth, est) -> float:
     return float(np.sqrt(np.mean(per_k)))
 
 
-def discounted_rayleigh(est, sigma=None, data=None) -> float:
+def discounted_rayleigh(est, sigma=None, data=None):
     """sum_k (1/k) v_k^T S v_k, with S given densely or as raw data rows.
 
-    Exactly one of `sigma` / `data` must be set. The data path never forms
-    S: it evaluates sum_k ||Y v_k||^2 / (n k), i.e. the quadratic form of
-    the row-averaged Gram matrix Y^T Y / n, from one product Y V^T.
+    `est` is a (K, d) stack, scored as one float, or an (L, K, d) stack of
+    L rounds, scored as an (L,) array in one call. Exactly one of `sigma` /
+    `data` must be set. The sigma path scores every round from one product
+    V S. The data path never forms S: per round it evaluates
+    sum_k ||Y v_k||^2 / (n k), i.e. the quadratic form of the row-averaged
+    Gram matrix Y^T Y / n, from one product Y V^T; Y is validated once.
+    A non-unit estimate is named by its position in the stack, counted
+    round by round.
     """
     e = np.asarray(est, dtype=np.float64)
-    if e.ndim != 2:
-        raise ConfigError("estimates must be a (K, d) stack")
-    check_unit_rows(e, name="estimate vector")
+    if e.ndim not in (2, 3):
+        raise ConfigError("estimates must be a (K, d) or (L, K, d) stack")
+    rounds = e if e.ndim == 3 else e[None]
+    n_rounds, n_comp, dim = rounds.shape
+    flat = rounds.reshape(-1, dim)
+    check_unit_rows(flat, name="estimate vector")
     if (sigma is None) == (data is None):
         raise ConfigError("pass exactly one of sigma= or data=")
     if sigma is not None:
         sm = sym_matrix(sigma)
-        if sm.shape[0] != e.shape[1]:
+        if sm.shape[0] != dim:
             raise ConfigError(f"dimension mismatch: {sm.shape} vs {e.shape}")
-        total = 0.0
-        for k in range(e.shape[0]):
-            total += float(e[k] @ sm @ e[k]) / (k + 1)
-        return total
-    y = as_matrix(data, "data matrix")
-    if y.shape[1] != e.shape[1]:
-        raise ConfigError(f"dimension mismatch: {y.shape} vs {e.shape}")
-    proj = y @ e.T
-    weights = 1.0 / (y.shape[0] * np.arange(1, e.shape[0] + 1))
-    return float(np.einsum("ij,ij->j", proj, proj) @ weights)
+        v_sigma = (flat @ sm).reshape(rounds.shape)
+        scores = np.einsum("lkd,lkd->lk", v_sigma, rounds) @ (
+            1.0 / np.arange(1, n_comp + 1))
+    else:
+        y = as_matrix(data, "data matrix")
+        if y.shape[1] != dim:
+            raise ConfigError(f"dimension mismatch: {y.shape} vs {e.shape}")
+        weights = 1.0 / (y.shape[0] * np.arange(1, n_comp + 1))
+        scores = np.empty(n_rounds)
+        for l in range(n_rounds):
+            proj = y @ rounds[l].T
+            scores[l] = np.einsum("ij,ij->j", proj, proj) @ weights
+    return float(scores[0]) if e.ndim == 2 else scores
 
 
 def spectrum_powerlaw(dim: int) -> np.ndarray:

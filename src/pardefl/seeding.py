@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 
+ETA_STREAM = 982451653  # stream key of the draws that size default step sizes
+
 
 def rng_for(seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream keyed by (seed, *path); all keys must be >= 0."""

@@ -24,9 +24,7 @@ from . import _kernels
 from .engine import RunTrace, run_round_synchronous
 from .errors import ConfigError, NumericalError, StreamError
 from .linalg import as_matrix, as_vector
-from .seeding import rng_for
-
-_ETA_STREAM = 982451653  # namespacing key for step-size estimation draws
+from .seeding import ETA_STREAM, rng_for
 
 
 class BatchProvider(Protocol):
@@ -124,7 +122,7 @@ class StepSchedule:
 def _estimate_top_eigenvalue(y: np.ndarray, seed: int, steps: int = 32) -> float:
     """Top eigenvalue of Y^T Y by matrix-free power iteration."""
     d = y.shape[1]
-    v = rng_for(seed, _ETA_STREAM).standard_normal(d)
+    v = rng_for(seed, ETA_STREAM).standard_normal(d)
     v /= max(float(np.linalg.norm(v)), 1e-300)
     scratch = np.empty(y.shape[0])
     for _ in range(steps):

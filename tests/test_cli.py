@@ -3,10 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from pardefl import save_pdm1
-from pardefl.cli import (ExperimentConfig, build_config, main,
-                         parse_config_file, run_comparison, run_experiment,
-                         run_theory_report)
+from pardefl import discounted_rayleigh, recovery_error, save_pdm1
+from pardefl.cli import (TRIAL_HEADER, ExperimentConfig, _Problem, _trial_csv,
+                         build_config, main, parse_config_file, run_comparison,
+                         run_experiment, run_theory_report, run_trial)
 from pardefl.errors import ConfigError
 
 
@@ -136,6 +136,84 @@ class TestRunExperiment:
         trace = run_trial(cfg, problem, 0)
         problem.metric_series(trace)
         assert problem._sigma is None
+
+
+def reference_trial_csv(trace, metric, trial):
+    """Per-row formatter: the reference for `_trial_csv`'s one-pass output."""
+    lines = [TRIAL_HEADER]
+    for l in range(trace.n_rounds):
+        for k in range(trace.n_workers):
+            err = "" if trace.errors is None else repr(float(trace.errors[l, k]))
+            lines.append(
+                f"{trial},{trace.algorithm},{trace.local_steps},{l + 1},"
+                f"{trace.local_steps * (l + 1)},{k + 1},{err},{float(metric[l])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def data_file(tmp_path, rng, rows=400, dim=12):
+    path = tmp_path / "data.pdm1"
+    save_pdm1(path, rng.standard_normal((rows, dim)) * np.linspace(2.0, 0.5, dim))
+    return path
+
+
+def traced(cfg):
+    problem = _Problem(cfg)
+    return problem, run_trial(cfg, problem, 0)
+
+
+class TestMetricSeries:
+    def test_synthetic_bitwise_per_round_recovery_error(self, tmp_path):
+        for algo, extra in (("parallel_deflation", {}),
+                            ("sequential_deflation", {}),
+                            ("stochastic_parallel_deflation", {"batch_size": 16}),
+                            ("eigengame_mu", {})):
+            problem, trace = traced(small_cfg(algorithm=algo, trials=1,
+                                              out=str(tmp_path), **extra))
+            top = problem.truth.vectors[: trace.n_workers]
+            expect = [recovery_error(top, v) for v in trace.vectors]
+            assert problem.metric_series(trace).tolist() == expect, algo
+
+    def test_dense_data_source_scores_from_sigma(self, tmp_path, rng):
+        path = data_file(tmp_path, rng)
+        for algo, extra in (("parallel_deflation", {}),
+                            ("parallel_deflation", {"solver": "hebb", "eta": 1e-3}),
+                            ("eigengame_mu", {}),
+                            ("eigengame_alpha", {}),
+                            ("sequential_deflation", {})):
+            cfg = ExperimentConfig(algorithm=algo, data=str(path), K=3, L=10, T=2,
+                                   seed=7, out=str(tmp_path / "o"), **extra)
+            problem, trace = traced(cfg)
+            assert problem._sigma is not None, algo
+            got = problem.metric_series(trace)
+            expect = np.array([discounted_rayleigh(v, data=problem.data)
+                               for v in trace.vectors])
+            assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-13, algo
+
+    def test_streaming_file_source_bitwise_per_round(self, tmp_path, rng):
+        cfg = ExperimentConfig(algorithm="stochastic_parallel_deflation",
+                               data=str(data_file(tmp_path, rng)), K=3, L=6, T=2,
+                               batch_size=16, seed=2, out=str(tmp_path / "o"))
+        problem, trace = traced(cfg)
+        expect = [discounted_rayleigh(v, data=problem.data) for v in trace.vectors]
+        assert problem.metric_series(trace).tolist() == expect
+        assert problem._sigma is None
+
+
+class TestTrialCsv:
+    def test_matches_per_row_formatter_with_errors(self, tmp_path):
+        problem, trace = traced(small_cfg(out=str(tmp_path)))
+        metric = problem.metric_series(trace)
+        assert trace.errors is not None
+        assert _trial_csv(trace, metric, 4) == reference_trial_csv(trace, metric, 4)
+
+    def test_matches_per_row_formatter_without_errors(self, tmp_path, rng):
+        cfg = ExperimentConfig(algorithm="eigengame_mu",
+                               data=str(data_file(tmp_path, rng)), K=3, L=7, T=3,
+                               seed=1, out=str(tmp_path / "o"))
+        problem, trace = traced(cfg)
+        metric = problem.metric_series(trace)
+        assert trace.errors is None
+        assert _trial_csv(trace, metric, 0) == reference_trial_csv(trace, metric, 0)
 
 
 class TestComparison:

@@ -191,6 +191,15 @@ class TestAttachOracle:
         errs = attach_oracle(trace, truth).errors
         assert abs(errs[0, 0] - np.sqrt(2.0)) <= 1e-12
 
+    def test_errors_match_norm_formula_bitwise(self):
+        spec = np.sort(np.random.default_rng(3).uniform(0.2, 2.0, 20))[::-1]
+        sigma, truth = random_covariance(spec, seed=19)
+        trace = parallel_deflation(sigma, 5, 9, Top1Config(steps=2), seed=4)
+        top = truth.vectors[:5]
+        expect = np.minimum(np.linalg.norm(trace.vectors - top[None, :, :], axis=2),
+                            np.linalg.norm(trace.vectors + top[None, :, :], axis=2))
+        assert np.array_equal(attach_oracle(trace, truth).errors, expect)
+
     def test_k_exceeds_oracle(self):
         sigma, truth = random_covariance(np.array([1.0, 0.5, 0.25]), seed=17)
         trace = parallel_deflation(sigma, 3, 3, Top1Config(steps=1), seed=1)

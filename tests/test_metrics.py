@@ -87,6 +87,32 @@ class TestDiscountedRayleigh:
         got = discounted_rayleigh(est, data=y)
         assert abs(got - expect) <= 1e-12 * abs(expect)
 
+    def test_single_stack_returns_float(self, rng):
+        y = rng.standard_normal((50, 6))
+        est = np.stack([normalize(rng.standard_normal(6)) for _ in range(3)])
+        assert type(discounted_rayleigh(est, sigma=covariance(y) / 50)) is float
+        assert type(discounted_rayleigh(est, data=y)) is float
+
+    def test_round_stack_sigma_path_matches_data_path(self, rng):
+        y = rng.standard_normal((300, 10))
+        rounds = rng.standard_normal((7, 4, 10))
+        rounds /= np.linalg.norm(rounds, axis=2, keepdims=True)
+        got = discounted_rayleigh(rounds, sigma=covariance(y) / 300)
+        expect = np.array([discounted_rayleigh(r, data=y) for r in rounds])
+        assert got.shape == (7,)
+        assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-13
+
+    def test_round_stack_data_path_bitwise_per_round(self, rng):
+        y = rng.standard_normal((300, 10))
+        rounds = rng.standard_normal((7, 4, 10))
+        rounds /= np.linalg.norm(rounds, axis=2, keepdims=True)
+        expect = [discounted_rayleigh(r, data=y) for r in rounds]
+        assert discounted_rayleigh(rounds, data=y).tolist() == expect
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ConfigError, match="stack"):
+            discounted_rayleigh(np.array([1.0, 0.0]), sigma=np.eye(2))
+
     def test_non_unit_estimate_named(self):
         est = np.eye(3)
         est[2] *= 0.5
