@@ -8,7 +8,6 @@ utilities, the convergence-schedule validator, and a CSV experiment
 harness.
 """
 
-from ._kernels import BACKEND
 from .deflation import (deflate, parallel_deflation, replay_round,
                         sequential_deflation)
 from .eigengame import (EigenGameVariant, eigengame_alpha_grad,
@@ -38,5 +37,6 @@ from .theory import (BoundReport, ConvergenceSchedule, cascade_rates,
                      schedule_for_run, w_cap)
 
 __version__ = "0.1.0"
+BACKEND = "numpy"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

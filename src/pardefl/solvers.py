@@ -6,15 +6,14 @@ convergence schedule is built from: for power iteration it is realized by
 the ratio of the two largest eigenvalue magnitudes.
 
 The exact solver `exact_top1` and `contraction_estimate` read the spectrum
-from LAPACK (`np.linalg.eigh` / `eigvalsh`); the cyclic-Jacobi
-`linalg.reference_eigh` stays the independent ground-truth oracle.
+from LAPACK (`np.linalg.eigh` / `eigvalsh`), as does the ground-truth
+oracle `linalg.reference_eigh`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError, DegenerateSpectrumError, NumericalError
 from .linalg import as_vector, check_unit, sign_align, sym_matrix
 
@@ -72,10 +71,13 @@ def pow_iter(sigma, v0, t_steps: int, sign_align_output: bool = True) -> np.ndar
     sm, v = _prep(sigma, v0)
     if int(t_steps) < 1:
         raise ConfigError(f"step count must be >= 1, got {t_steps}")
-    out = np.empty_like(v)
-    status = _kernels.power_steps(sm, v, int(t_steps), np.empty_like(v), out)
-    if status < 0.0:
-        raise NumericalError("power iteration hit a (near-)zero iterate")
+    out, scratch = v.copy(), np.empty_like(v)
+    for _ in range(int(t_steps)):
+        np.matmul(sm, out, out=scratch)
+        nrm = float(np.sqrt(scratch @ scratch))
+        if nrm < 1e-300:
+            raise NumericalError("power iteration hit a (near-)zero iterate")
+        np.divide(scratch, nrm, out=out)
     return sign_align(out, v) if sign_align_output else out
 
 
@@ -86,10 +88,16 @@ def hebb(sigma, v0, t_steps: int, eta: float, sign_align_output: bool = True) ->
         raise ConfigError(f"step count must be >= 1, got {t_steps}")
     if not eta > 0.0:
         raise ConfigError(f"Hebb step size must be positive, got {eta!r}")
-    out = np.empty_like(v)
-    status = _kernels.hebb_steps(sm, v, int(t_steps), float(eta), np.empty_like(v), out)
-    if status < 0.0:
-        raise NumericalError("Hebb update hit a (near-)zero iterate")
+    eta = float(eta)
+    out, scratch = v.copy(), np.empty_like(v)
+    for _ in range(int(t_steps)):
+        np.matmul(sm, out, out=scratch)
+        scratch *= eta
+        scratch += out
+        nrm = float(np.sqrt(scratch @ scratch))
+        if nrm < 1e-300:
+            raise NumericalError("Hebb update hit a (near-)zero iterate")
+        np.divide(scratch, nrm, out=out)
     return sign_align(out, v) if sign_align_output else out
 
 

@@ -20,7 +20,6 @@ from typing import Protocol
 
 import numpy as np
 
-from . import _kernels
 from .engine import RunTrace, run_round_synchronous
 from .errors import ConfigError, NumericalError, StreamError
 from .linalg import as_matrix, as_vector
@@ -119,6 +118,12 @@ class StepSchedule:
             raise ConfigError(f"tau must be positive, got {self.tau!r}")
 
 
+def _batch_rayleigh(y, v, scratch_n) -> float:
+    """||Y v||^2 on validated float64 operands; Y v is left in scratch_n."""
+    np.matmul(y, v, out=scratch_n)
+    return float(scratch_n @ scratch_n)
+
+
 def _estimate_top_eigenvalue(y: np.ndarray, seed: int, steps: int = 32) -> float:
     """Top eigenvalue of Y^T Y by matrix-free power iteration."""
     d = y.shape[1]
@@ -126,12 +131,12 @@ def _estimate_top_eigenvalue(y: np.ndarray, seed: int, steps: int = 32) -> float
     v /= max(float(np.linalg.norm(v)), 1e-300)
     scratch = np.empty(y.shape[0])
     for _ in range(steps):
-        lam = _kernels.batch_rayleigh_raw(y, v, scratch)
+        lam = _batch_rayleigh(y, v, scratch)
         if lam < 1e-300:
             raise NumericalError("first batch is numerically zero; cannot size eta0")
         w = y.T @ scratch
         v = w / float(np.linalg.norm(w))
-    return float(_kernels.batch_rayleigh_raw(y, v, scratch))
+    return _batch_rayleigh(y, v, scratch)
 
 
 def resolve_schedule(schedule: StepSchedule, provider: BatchProvider,
@@ -156,7 +161,7 @@ def batch_rayleigh(y, v) -> float:
     vv = as_vector(v)
     if ym.shape[1] != vv.shape[0]:
         raise ConfigError(f"dimension mismatch: {ym.shape} vs {vv.shape}")
-    return float(_kernels.batch_rayleigh_raw(ym, vv, np.empty(ym.shape[0])))
+    return _batch_rayleigh(ym, vv, np.empty(ym.shape[0]))
 
 
 def deflated_matvec(y, peers, lams, x) -> np.ndarray:
@@ -176,7 +181,9 @@ def deflated_matvec(y, peers, lams, x) -> np.ndarray:
     if xv.shape[0] != d:
         raise ConfigError(f"dimension mismatch: {ym.shape} vs {xv.shape}")
     out = np.empty(d)
-    _kernels.deflated_batch_matvec_raw(ym, peers, lam, xv, np.empty(ym.shape[0]), out)
+    np.matmul(ym.T, ym @ xv, out=out)
+    for j in range(peers.shape[0]):
+        out -= lam[j] * float(peers[j] @ xv) * peers[j]
     return out
 
 
@@ -196,7 +203,7 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
     def update(rnd, prev):
         def block(lo, hi):
             rows = np.empty((hi - lo, d))
-            scratch_n, scratch_g, out = np.empty(n), np.empty(d), np.empty(d)
+            scratch_n, g = np.empty(n), np.empty(d)
             for r in range(lo, hi):
                 k = r + 1
                 peers = prev[:r]
@@ -214,13 +221,18 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
                         raise StreamError(
                             f"batch at worker {k}, round {rnd}, step {t} has shape "
                             f"{y.shape}, expected {(n, d)}")
-                    step_eta = eta((rnd - 1) * local_steps + (t - 1))
-                    status = _kernels.stoch_hebb_step(y, peers, v, step_eta,
-                                                      scratch_n, scratch_g, out)
-                    if status < 0.0:
+                    np.matmul(y, v, out=scratch_n)
+                    np.matmul(y.T, scratch_n, out=g)
+                    for p in peers:
+                        lam = _batch_rayleigh(y, p, scratch_n)
+                        g -= lam * float(p @ v) * p
+                    g *= eta((rnd - 1) * local_steps + (t - 1))
+                    g += v
+                    nrm = float(np.sqrt(g @ g))
+                    if nrm < 1e-300:
                         raise NumericalError(
                             f"update collapsed at worker {k}, round {rnd}, step {t}")
-                    v[:] = out
+                    np.divide(g, nrm, out=v)
             return rows
         return block
 

@@ -1,15 +1,6 @@
 import numpy as np
 import pytest
 
-from pardefl import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT-compile every kernel once so timed tests measure the algorithms,
-    # not compilation.
-    _kernels.warm_up()
-
 
 @pytest.fixture
 def rng():

@@ -4,6 +4,7 @@ import pytest
 from pardefl import (CapacityError, ConfigError, EigenSystem, NumericalError,
                      covariance, matvec, normalize, reference_eigh, sign_align,
                      sym_matrix)
+from pardefl import linalg
 from pardefl.metrics import random_covariance
 
 
@@ -96,9 +97,13 @@ class TestReferenceEigh:
             for row in es.vectors:
                 assert row[int(np.argmax(np.abs(row)))] >= 0.0
 
-    def test_non_convergence_diagnostics(self):
-        with pytest.raises(NumericalError, match="sweeps"):
-            reference_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]), max_sweeps=0)
+    def test_lapack_failure_raises_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(linalg.np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="LAPACK eigh failed"):
+            reference_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ConfigError):
