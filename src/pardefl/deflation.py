@@ -17,16 +17,22 @@ The engine never builds Sigma_{k,l}. One batched update
 rows, G = X Sigma - (M o (X V^T)) V with the peer mask M scaled by
 lambda_j = v_j^T Sigma v_j, so a local step costs a few GEMMs and no d x d
 buffer. Only `top1_fn` validation runs hand each worker its deflated matrix,
-built by `deflate`.
+built by `_deflate`, the unchecked core of `deflate`.
 """
 
 import numpy as np
 
 from .engine import RunTrace, dense_round_update, next_round, run_round_synchronous
 from .errors import ConfigError, NumericalError, PardeflError
-from .linalg import as_vector, check_unit_rows, sym_matrix
+from .linalg import as_vector, check_unit, peer_stack, sym_matrix
 from .seeding import unit_init
-from .solvers import HEBB, Top1Config, top1
+from .solvers import HEBB, Top1Config, _nonzero, _top1
+
+
+def _deflate(sm: np.ndarray, peers: np.ndarray) -> np.ndarray:
+    """`deflate` on a checked, exactly symmetric sigma and (m, d) unit stack."""
+    update = (peers.T * np.einsum("ij,ij->i", peers @ sm, peers)) @ peers
+    return sm - (update + update.T) / 2.0
 
 
 def deflate(sigma, vs) -> np.ndarray:
@@ -37,14 +43,7 @@ def deflate(sigma, vs) -> np.ndarray:
     The result is exactly symmetric.
     """
     sm = sym_matrix(sigma)
-    d = sm.shape[0]
-    peers = np.zeros((0, d)) if len(vs) == 0 else np.atleast_2d(
-        np.asarray(vs, dtype=np.float64))
-    if peers.shape[1] != d:
-        raise ConfigError(f"deflation vectors have dim {peers.shape[1]}, matrix has {d}")
-    check_unit_rows(peers, name="deflation vector")
-    update = (peers.T * np.einsum("ij,ij->i", peers @ sm, peers)) @ peers
-    return sm - (update + update.T) / 2.0
+    return _deflate(sm, peer_stack(vs, sm.shape[0], "deflation vector", unit=True))
 
 
 def sequential_deflation(sigma, n_components: int, cfg: Top1Config,
@@ -54,12 +53,11 @@ def sequential_deflation(sigma, n_components: int, cfg: Top1Config,
     d = sm.shape[0]
     if not 1 <= n_components <= d:
         raise ConfigError(f"K must lie in [1, {d}], got {n_components}")
-    current = sm.copy()
+    current = sm.copy()  # stays exactly symmetric: each update is lam v v^T
     out = np.empty((n_components, d))
     for k in range(1, n_components + 1):
-        v0 = unit_init(seed, k, d)
         try:
-            v = top1(current, v0, cfg)
+            v = _top1(_nonzero(current), unit_init(seed, k, d), cfg)
         except PardeflError as exc:
             raise NumericalError(f"worker {k}: {exc}") from exc
         out[k - 1] = v
@@ -69,7 +67,7 @@ def sequential_deflation(sigma, n_components: int, cfg: Top1Config,
 
 
 def _round_update(sigma, cfg: Top1Config, top1_fn=None):
-    """Round update shared by the engine and by `replay_round`."""
+    """Round update shared by the engine and `replay_round`; sigma is checked."""
     if top1_fn is None:
         return dense_round_update(
             sigma, "deflation", steps=cfg.steps,
@@ -81,9 +79,12 @@ def _round_update(sigma, cfg: Top1Config, top1_fn=None):
             rows = np.empty((hi - lo, prev.shape[1]))
             for r in range(lo, hi):
                 try:
-                    rows[r - lo] = as_vector(top1_fn(deflate(sigma, prev[:r]), prev[r]))
+                    v = as_vector(top1_fn(_deflate(sigma, prev[:r]), prev[r]),
+                                  "top1_fn output")
+                    check_unit(v, name="top1_fn output")
                 except PardeflError as exc:
                     raise NumericalError(f"worker {r + 1}, round {rnd}: {exc}") from exc
+                rows[r - lo] = v
             return rows
         return block
 

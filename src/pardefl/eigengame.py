@@ -25,15 +25,9 @@ from .errors import ConfigError, NumericalError
 from .games import player_operands
 from .linalg import sym_matrix
 from .seeding import ETA_STREAM, rng_for
-from .solvers import pow_iter
+from .solvers import Top1Config, _nonzero, _top1
 
 EigenGameVariant = Literal["alpha", "mu"]
-
-
-def _check_variant(variant: str) -> str:
-    if variant not in ("alpha", "mu"):
-        raise ConfigError(f"unknown EigenGame variant {variant!r}")
-    return variant
 
 
 def eigengame_alpha_grad(sigma, v, peers) -> np.ndarray:
@@ -64,24 +58,28 @@ def eigengame_mu_grad(sigma, v, peers) -> np.ndarray:
     return g
 
 
-def default_eigengame_eta(sigma, seed: int) -> float:
-    """0.1 over a power-iteration estimate of the top eigenvalue."""
-    sm = sym_matrix(sigma)
-    d = sm.shape[0]
-    v0 = rng_for(seed, ETA_STREAM).standard_normal(d)
+def _default_eta(sm: np.ndarray, seed: int) -> float:
+    """`default_eigengame_eta` on a checked, exactly symmetric matrix."""
+    v0 = rng_for(seed, ETA_STREAM).standard_normal(sm.shape[0])
     v0 /= max(float(np.linalg.norm(v0)), 1e-300)
-    v = pow_iter(sm, v0, 64)
+    v = _top1(_nonzero(sm), v0, Top1Config(steps=64))
     lam = abs(float(v @ sm @ v))
     if lam < 1e-300:
         raise NumericalError("cannot size a step for a numerically zero matrix")
     return 0.1 / lam
 
 
+def default_eigengame_eta(sigma, seed: int) -> float:
+    """0.1 over a power-iteration estimate of the top eigenvalue."""
+    return _default_eta(sym_matrix(sigma), seed)
+
+
 def run_eigengame(variant: EigenGameVariant, sigma, n_components: int,
                   n_rounds: int, local_steps: int, eta: float | None = None,
                   seed: int = 0, mode: str = "serial") -> RunTrace:
     """Round-synchronous EigenGame run; deterministic given the seed."""
-    variant = _check_variant(variant)
+    if variant not in ("alpha", "mu"):
+        raise ConfigError(f"unknown EigenGame variant {variant!r}")
     sm = sym_matrix(sigma)
     d = sm.shape[0]
     if not 1 <= n_components <= d:
@@ -89,9 +87,9 @@ def run_eigengame(variant: EigenGameVariant, sigma, n_components: int,
     if local_steps < 1:
         raise ConfigError(f"local step count must be >= 1, got {local_steps}")
     if eta is None:
-        eta = default_eigengame_eta(sm, seed)
-    elif not eta > 0.0:
-        raise ConfigError(f"step size must be positive, got {eta!r}")
+        eta = _default_eta(sm, seed)
+    elif not 0.0 < eta < np.inf:
+        raise ConfigError(f"step size must be positive and finite, got {eta!r}")
     return run_round_synchronous(
         dim=d, n_workers=n_components, n_rounds=n_rounds, seed=seed,
         update=dense_round_update(sm, variant, steps=local_steps, eta=eta),

@@ -41,7 +41,6 @@ from .seeding import unit_init
 
 MODES = ("serial", "thread")
 BLOCK_ROWS = 8  # worker rows per block; fixed so every mode issues the same calls
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -182,14 +181,13 @@ def dense_round_update(sigma: np.ndarray, penalty: str, *, steps: int,
     G = X Sigma - (M o (X A^T)) B (module docstring). Each of the `steps`
     local steps maps every row x of a block to G/||G|| when eta is None
     (power iteration) and to (x + eta G)/||.|| otherwise (Hebb's rule and
-    EigenGame ascent). With `align` each result row is then flipped to a
-    non-negative inner product with its warm start. `sigma` must be exactly
-    symmetric; no d x d array is allocated.
+    EigenGame ascent); a zero or non-finite norm is a NumericalError. With
+    `align` each result row is then flipped to a non-negative inner product
+    with its warm start. `sigma` must be checked and exactly symmetric; no
+    d x d array is allocated.
     """
     if penalty not in ("deflation", "mu", "alpha"):
         raise ConfigError(f"unknown dense penalty {penalty!r}")
-    zero_message = ("local solver hit a (near-)zero iterate"
-                    if penalty == "deflation" else "update collapsed to zero")
 
     def update(rnd, prev):
         n_active = min(rnd, prev.shape[0])
@@ -222,10 +220,11 @@ def dense_round_update(sigma: np.ndarray, penalty: str, *, steps: int,
                 if eta is not None:
                     g = x + eta * g
                 norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-                zero = np.flatnonzero(norms < _TINY)
-                if zero.size:
-                    raise NumericalError(
-                        f"worker {lo + int(zero[0]) + 1}, round {rnd}: {zero_message}")
+                for i, nrm in enumerate(norms.tolist()):
+                    if not 1e-300 <= nrm < np.inf:
+                        raise NumericalError(
+                            f"worker {lo + i + 1}, round {rnd}: "
+                            "update collapsed to zero or non-finite")
                 x = g / norms[:, None]
             if align:
                 x[np.einsum("ij,ij->i", x, prev[lo:hi]) < 0.0] *= -1.0

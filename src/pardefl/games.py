@@ -3,7 +3,9 @@
 Player k's payoff depends only on the vectors of players 1..k-1. At the
 true eigenbasis each payoff strictly decreases under any perturbation of
 the player's own vector, which `nash_check` probes statistically with
-exponential-map samples around each candidate.
+exponential-map samples around each candidate. It checks its arguments once
+and scores every sample with the unchecked `_utility_V`, computing each
+peer's Rayleigh quotient once per player.
 """
 
 from dataclasses import dataclass
@@ -11,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError, NumericalError
-from .linalg import (as_vector, check_unit, check_unit_rows, normalize,
-                     reference_eigh, sym_matrix)
+from .linalg import _eigh, as_vector, check_unit, peer_stack, sym_matrix
 from .seeding import rng_for
 
 _MIN_ANGLE = 1e-6
@@ -20,21 +21,14 @@ _STRICT_RTOL = 1e-12
 
 
 def player_operands(sigma, v, peers, unit_peers: bool = False):
-    """Validated (Sigma, v, peer stack) of one player's payoff or gradient.
-
-    The peer stack is (m, d) and C-contiguous, (0, d) for no peers; with
-    `unit_peers` every peer must be unit norm.
-    """
+    """Checked (Sigma, v, peer stack) of one player's payoff or gradient; the
+    stack comes from `linalg.peer_stack`, unit norm with `unit_peers`."""
     sm = sym_matrix(sigma)
     vv = as_vector(v)
     d = sm.shape[0]
     if vv.shape[0] != d:
         raise ConfigError(f"dimension mismatch: {sm.shape} vs {vv.shape}")
-    pe = (np.ascontiguousarray(np.asarray(peers, dtype=np.float64).reshape(-1, d))
-          if np.size(peers) else np.zeros((0, d)))
-    if unit_peers:
-        check_unit_rows(pe, name="peer vector")
-    return sm, vv, pe
+    return sm, vv, peer_stack(peers, d, unit=unit_peers)
 
 
 def utility_U(v, peers, sigma) -> float:
@@ -55,6 +49,15 @@ def utility_U(v, peers, sigma) -> float:
     return total
 
 
+def _utility_V(sm, vv, pe, rq) -> float:
+    """`utility_V` on checked operands, given the peers' Rayleigh quotients."""
+    sv = sm @ vv
+    total = float(vv @ sv)
+    for p, r in zip(pe, rq):
+        total -= r * float(p @ vv) ** 2
+    return total
+
+
 def utility_V(v, peers, sigma) -> float:
     """Deflation payoff
 
@@ -62,15 +65,9 @@ def utility_V(v, peers, sigma) -> float:
 
     identically v^T (deflated S) v for unit peers.
     """
-    sm, vv, pe = player_operands(sigma, v, peers)
+    sm, vv, pe = player_operands(sigma, v, peers, unit_peers=True)
     check_unit(vv)
-    check_unit_rows(pe, name="peer vector")
-    sv = sm @ vv
-    total = float(vv @ sv)
-    for j in range(pe.shape[0]):
-        rq = float(pe[j] @ sm @ pe[j])
-        total -= rq * float(pe[j] @ vv) ** 2
-    return total
+    return _utility_V(sm, vv, pe, [float(p @ sm @ p) for p in pe])
 
 
 @dataclass(frozen=True)
@@ -108,44 +105,42 @@ def nash_check(sigma, candidates, n_samples: int, radius: float,
     to be positive and strictly decreasing.
     """
     sm = sym_matrix(sigma)
-    if sm.shape[0] < 2:
+    d = sm.shape[0]
+    if d < 2:
         raise ConfigError("perturbation sampling needs dimension >= 2")
-    cand = np.asarray(candidates, dtype=np.float64)
-    if cand.ndim != 2 or cand.shape[1] != sm.shape[0]:
-        raise ConfigError(f"candidates must be (K, d) with d = {sm.shape[0]}")
-    n_players = cand.shape[0]
+    cand = np.ascontiguousarray(candidates, dtype=np.float64)
+    if cand.ndim != 2 or cand.shape[1] != d:
+        raise ConfigError(f"candidates must be (K, d) with d = {d}")
     if n_samples < 1:
         raise ConfigError("need at least one perturbation sample")
     if not radius > _MIN_ANGLE:
         raise ConfigError(f"radius must exceed {_MIN_ANGLE}, got {radius!r}")
 
-    es = reference_eigh(sm)
-    lead = es.values[: min(n_players + 1, es.values.shape[0])]
+    lead = _eigh(sm)[0][: cand.shape[0] + 1]
     scale = max(float(np.max(np.abs(lead))), 1e-300)
     if float(lead[-1]) <= 0.0 or np.any(np.diff(lead) >= -1e-8 * scale):
         raise DegenerateSpectrumError(
             "leading eigenvalues must be positive and strictly decreasing")
+    check_unit(cand, name="candidate")
 
     reports = []
-    for k in range(1, n_players + 1):
-        v = cand[k - 1]
-        check_unit(v, name=f"candidate {k}")
-        peers = cand[: k - 1]
-        base = utility_V(v, peers, sm)
+    for k in range(1, cand.shape[0] + 1):
+        v, peers = cand[k - 1], cand[: k - 1]
+        rq = [float(p @ sm @ p) for p in peers]
+        base = _utility_V(sm, v, peers, rq)
         rng = rng_for(seed, k)
         best = -np.inf
         for _ in range(n_samples):
-            w = rng.standard_normal(sm.shape[0])
-            w -= float(w @ v) * v
-            nrm = float(np.linalg.norm(w))
-            while nrm < 1e-12:
-                w = rng.standard_normal(sm.shape[0])
+            nrm = 0.0
+            while nrm < 1e-12:  # redraw a direction (numerically) parallel to v
+                w = rng.standard_normal(d)
                 w -= float(w @ v) * v
                 nrm = float(np.linalg.norm(w))
             w /= nrm
             theta = _MIN_ANGLE + (radius - _MIN_ANGLE) * rng.random()
-            perturbed = normalize(np.cos(theta) * v + np.sin(theta) * w)
-            best = max(best, utility_V(perturbed, peers, sm))
+            perturbed = np.cos(theta) * v + np.sin(theta) * w
+            perturbed /= float(np.sqrt(perturbed @ perturbed))
+            best = max(best, _utility_V(sm, perturbed, peers, rq))
         reports.append(UtilityReport(k=k, value_at_candidate=base,
                                      max_perturbed_value=best,
                                      n_samples=n_samples, radius=radius))

@@ -36,22 +36,35 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def check_unit(v: np.ndarray, tol: float = 1e-6, name: str = "vector") -> None:
-    nrm = float(np.sqrt(v @ v))
-    if abs(nrm - 1.0) > tol:
-        raise ConfigError(f"{name} must be unit norm, got ||v|| = {nrm!r}")
+    """Unit norm within `tol` of a vector, or of every row of an (m, d) stack.
 
-
-def check_unit_rows(rows: np.ndarray, tol: float = 1e-6, name: str = "vector") -> None:
-    """`check_unit` on every row of a (m, d) stack in one pass.
-
-    The error names the first offending row as "<name> <i>", 1-based.
+    A non-finite norm fails too. For a stack the error names the first
+    offending row as "<name> <i>", 1-based.
     """
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    bad = np.flatnonzero(np.abs(norms - 1.0) > tol)
+    norms = np.sqrt(np.einsum("...j,...j->...", v, v)).reshape(-1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))
     if bad.size:
         i = int(bad[0])
-        raise ConfigError(
-            f"{name} {i + 1} must be unit norm, got ||v|| = {float(norms[i])!r}")
+        where = f"{name} {i + 1}" if v.ndim == 2 else name
+        raise ConfigError(f"{where} must be unit norm, got ||v|| = {float(norms[i])!r}")
+
+
+def peer_stack(peers, d: int, name: str = "peer vector", unit: bool = False) -> np.ndarray:
+    """Checked (m, d) float64 stack of peer vectors, (0, d) when empty; one
+    vector of length d is a stack of one. Every row must be finite, and with
+    `unit` unit norm; errors name the first offending row, 1-based.
+    """
+    p = np.atleast_2d(np.ascontiguousarray(peers, dtype=np.float64))
+    if p.size == 0:
+        return np.zeros((0, d))
+    if p.ndim != 2 or p.shape[1] != d:
+        raise ConfigError(f"{name}s must be an (m, {d}) stack, got shape {p.shape}")
+    finite = np.isfinite(p).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"{name} {int(np.argmin(finite)) + 1} has non-finite entries")
+    if unit:
+        check_unit(p, name=name)
+    return p
 
 
 def sym_matrix(entries) -> np.ndarray:
@@ -155,13 +168,18 @@ class EigenSystem:
         return self.vectors[:k]
 
 
+def _eigh(sm: np.ndarray):
+    """Unchecked LAPACK eigh: (values, row vectors), values non-increasing."""
+    try:
+        vals, vecs = np.linalg.eigh(sm)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK eigh failed: {exc}") from exc
+    return vals[::-1], vecs.T[::-1]
+
+
 def reference_eigh(a) -> EigenSystem:
     """Ground-truth eigendecomposition by LAPACK eigh.
 
     Eigenvalues are returned in non-increasing order.
     """
-    try:
-        vals, vecs = np.linalg.eigh(sym_matrix(a))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK eigh failed: {exc}") from exc
-    return EigenSystem(vals[::-1], vecs.T[::-1])
+    return EigenSystem(*_eigh(sym_matrix(a)))

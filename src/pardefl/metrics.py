@@ -11,8 +11,7 @@ so the ground-truth eigensystem is known by construction.
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import (EigenSystem, as_matrix, check_unit_rows, reference_eigh,
-                     sym_matrix)
+from .linalg import EigenSystem, as_matrix, check_unit, reference_eigh, sym_matrix
 from .seeding import rng_for
 from .stochastic import GaussianStreamProvider
 
@@ -23,8 +22,8 @@ def recovery_error(truth, est) -> float:
     e = np.asarray(est, dtype=np.float64)
     if t.shape != e.shape or t.ndim != 2:
         raise ConfigError(f"shape mismatch: truth {t.shape} vs estimate {e.shape}")
-    check_unit_rows(t, name="truth vector")
-    check_unit_rows(e, name="estimate vector")
+    check_unit(t, name="truth vector")
+    check_unit(e, name="estimate vector")
     diff = np.linalg.norm(t - e, axis=1)
     summ = np.linalg.norm(t + e, axis=1)
     per_k = np.minimum(diff, summ) ** 2
@@ -49,7 +48,7 @@ def discounted_rayleigh(est, sigma=None, data=None):
     rounds = e if e.ndim == 3 else e[None]
     n_rounds, n_comp, dim = rounds.shape
     flat = rounds.reshape(-1, dim)
-    check_unit_rows(flat, name="estimate vector")
+    check_unit(flat, name="estimate vector")
     if (sigma is None) == (data is None):
         raise ConfigError("pass exactly one of sigma= or data=")
     if sigma is not None:
@@ -127,5 +126,5 @@ def gaussian_stream(sigma_or_truth, batch_size: int,
     if isinstance(sigma_or_truth, EigenSystem):
         truth = sigma_or_truth
     else:
-        truth = reference_eigh(sym_matrix(sigma_or_truth))
+        truth = reference_eigh(sigma_or_truth)
     return GaussianStreamProvider(truth.values, truth.vectors, batch_size, seed)

@@ -1,13 +1,11 @@
 """Leading-eigenvector subroutines: power iteration and Hebb's rule.
 
-Both satisfy the same call shape so every engine can consume either through
-`top1`. `contraction_estimate` exposes the per-step error-shrink factor the
-convergence schedule is built from: for power iteration it is realized by
-the ratio of the two largest eigenvalue magnitudes.
-
-The exact solver `exact_top1` and `contraction_estimate` read the spectrum
-from LAPACK (`np.linalg.eigh` / `eigvalsh`), as does the ground-truth
-oracle `linalg.reference_eigh`.
+`top1`, and `pow_iter` / `hebb` through it, checks its arguments once and
+runs `_top1`, the one unchecked power/Hebb step loop; engines that hold a
+checked matrix call `_top1` directly. `contraction_estimate` exposes the
+per-step error-shrink factor of power iteration, the ratio of the two
+largest eigenvalue magnitudes. `exact_top1` and `contraction_estimate` read
+the spectrum from LAPACK, as does the oracle `linalg.reference_eigh`.
 """
 
 from dataclasses import dataclass
@@ -15,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError, NumericalError
-from .linalg import as_vector, check_unit, sign_align, sym_matrix
+from .linalg import _eigh, as_vector, check_unit, sign_align, sym_matrix
 
 POWER_ITERATION = "power_iteration"
 HEBB = "hebb"
@@ -26,7 +24,7 @@ class Top1Config:
     """Configuration of the local leading-eigenvector solver.
 
     steps is the number of inner iterations per call; eta is the Hebb step
-    size and must be set (positive) when method == "hebb".
+    size and must be set (positive and finite) when method == "hebb".
     """
 
     method: str = POWER_ITERATION
@@ -39,8 +37,8 @@ class Top1Config:
             raise ConfigError(f"unknown Top1 method {self.method!r}")
         if int(self.steps) < 1:
             raise ConfigError(f"Top1 steps must be >= 1, got {self.steps}")
-        if self.method == HEBB and (self.eta is None or not self.eta > 0.0):
-            raise ConfigError("Hebb's rule needs a positive step size eta")
+        if self.method == HEBB and (self.eta is None or not 0.0 < self.eta < np.inf):
+            raise ConfigError(f"Hebb's rule needs a positive finite eta, got {self.eta!r}")
 
 
 @dataclass(frozen=True)
@@ -55,57 +53,52 @@ class ContractionEstimate:
             raise ConfigError(f"contraction factor must lie in (0,1), got {self.F!r}")
 
 
-def _prep(sigma, v0):
+def _nonzero(sm: np.ndarray) -> np.ndarray:
+    if not np.any(sm):
+        raise ConfigError("matrix is identically zero")
+    return sm
+
+
+def _top1(sm: np.ndarray, v: np.ndarray, cfg: Top1Config) -> np.ndarray:
+    """`top1` on a checked, exactly symmetric matrix and unit start vector.
+
+    The one power/Hebb step loop; a zero or non-finite norm is a NumericalError.
+    """
+    eta = float(cfg.eta) if cfg.method == HEBB else None
+    out, scratch = v.copy(), np.empty_like(v)
+    for _ in range(int(cfg.steps)):
+        np.matmul(sm, out, out=scratch)
+        if eta is not None:
+            scratch *= eta
+            scratch += out
+        nrm = float(np.sqrt(scratch @ scratch))
+        if not 1e-300 <= nrm < np.inf:
+            raise NumericalError("local solver hit a (near-)zero or non-finite iterate")
+        np.divide(scratch, nrm, out=out)
+    if cfg.sign_align_output and float(out @ v) < 0.0:
+        return -out
+    return out
+
+
+def top1(sigma, v0, cfg: Top1Config) -> np.ndarray:
+    """cfg.steps power (x <- Sigma x) or Hebb (x <- x + eta Sigma x) steps, each
+    normalized; checks sigma and the unit start vector once, then runs `_top1`."""
     sm = sym_matrix(sigma)
     v = as_vector(v0, "start vector")
     if v.shape[0] != sm.shape[0]:
         raise ConfigError(f"dimension mismatch: {sm.shape} vs {v.shape}")
     check_unit(v, name="start vector")
-    if not np.any(sm):
-        raise ConfigError("matrix is identically zero")
-    return sm, v
+    return _top1(_nonzero(sm), v, cfg)
 
 
 def pow_iter(sigma, v0, t_steps: int, sign_align_output: bool = True) -> np.ndarray:
     """t_steps normalized power-iteration steps x <- Sigma x / ||Sigma x||."""
-    sm, v = _prep(sigma, v0)
-    if int(t_steps) < 1:
-        raise ConfigError(f"step count must be >= 1, got {t_steps}")
-    out, scratch = v.copy(), np.empty_like(v)
-    for _ in range(int(t_steps)):
-        np.matmul(sm, out, out=scratch)
-        nrm = float(np.sqrt(scratch @ scratch))
-        if nrm < 1e-300:
-            raise NumericalError("power iteration hit a (near-)zero iterate")
-        np.divide(scratch, nrm, out=out)
-    return sign_align(out, v) if sign_align_output else out
+    return top1(sigma, v0, Top1Config(POWER_ITERATION, t_steps, None, sign_align_output))
 
 
 def hebb(sigma, v0, t_steps: int, eta: float, sign_align_output: bool = True) -> np.ndarray:
     """t_steps normalized Hebb updates x <- (x + eta Sigma x) / ||.||."""
-    sm, v = _prep(sigma, v0)
-    if int(t_steps) < 1:
-        raise ConfigError(f"step count must be >= 1, got {t_steps}")
-    if not eta > 0.0:
-        raise ConfigError(f"Hebb step size must be positive, got {eta!r}")
-    eta = float(eta)
-    out, scratch = v.copy(), np.empty_like(v)
-    for _ in range(int(t_steps)):
-        np.matmul(sm, out, out=scratch)
-        scratch *= eta
-        scratch += out
-        nrm = float(np.sqrt(scratch @ scratch))
-        if nrm < 1e-300:
-            raise NumericalError("Hebb update hit a (near-)zero iterate")
-        np.divide(scratch, nrm, out=out)
-    return sign_align(out, v) if sign_align_output else out
-
-
-def top1(sigma, v0, cfg: Top1Config) -> np.ndarray:
-    """Uniform entry point used by all engines; dispatches on cfg.method."""
-    if cfg.method == POWER_ITERATION:
-        return pow_iter(sigma, v0, cfg.steps, cfg.sign_align_output)
-    return hebb(sigma, v0, cfg.steps, cfg.eta, cfg.sign_align_output)
+    return top1(sigma, v0, Top1Config(HEBB, t_steps, eta, sign_align_output))
 
 
 def exact_top1(sigma, v0) -> np.ndarray:
@@ -115,15 +108,10 @@ def exact_top1(sigma, v0) -> np.ndarray:
     the larger (positive) eigenvalue wins. Drop-in replacement for `top1`
     used in validation runs.
     """
-    try:
-        vals, vecs = np.linalg.eigh(sym_matrix(sigma))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK eigh failed: {exc}") from exc
-    # LAPACK orders eigenvalues ascending; in non-increasing order argmax
-    # returns the larger of two values tied in magnitude.
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    idx = int(np.argmax(np.abs(vals)))
-    return sign_align(vecs[:, idx], as_vector(v0))
+    # in non-increasing order argmax returns the larger of two values tied
+    # in magnitude
+    vals, vecs = _eigh(sym_matrix(sigma))
+    return sign_align(vecs[int(np.argmax(np.abs(vals)))], as_vector(v0))
 
 
 def contraction_estimate(sigma, min_rel_gap: float = 1e-8) -> ContractionEstimate:

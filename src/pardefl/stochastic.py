@@ -6,9 +6,10 @@ deflated matrix-vector product
 
     g = Y^T (Y x) - sum_peers lam_hat * (v_peer . x) * v_peer
 
-in O((n + k) d), applies the normalized ascent update x <- (x + eta g)/||.||,
-and broadcasts at the end of the round. No operation in this module
-allocates a d x d buffer.
+in O((n + k) d) by `_deflated_matvec`, the core the public `deflated_matvec`
+runs after its checks, applies the normalized ascent update x <- (x + eta
+g)/||.|| (a zero or non-finite norm is a NumericalError) and broadcasts at
+the end of the round. No operation here allocates a d x d buffer.
 
 Batch providers are pull-based and replayable: batch(worker, round, step)
 is a pure function of the provider seed and that index triple, so worker
@@ -22,7 +23,7 @@ import numpy as np
 
 from .engine import RunTrace, run_round_synchronous
 from .errors import ConfigError, NumericalError, StreamError
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, peer_stack
 from .seeding import ETA_STREAM, rng_for
 
 
@@ -112,10 +113,10 @@ class StepSchedule:
     def __post_init__(self):
         if self.mode not in ("constant", "inverse_time"):
             raise ConfigError(f"unknown schedule mode {self.mode!r}")
-        if self.eta0 is not None and not self.eta0 > 0.0:
-            raise ConfigError(f"eta0 must be positive, got {self.eta0!r}")
-        if self.tau is not None and not self.tau > 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau!r}")
+        if self.eta0 is not None and not 0.0 < self.eta0 < np.inf:
+            raise ConfigError(f"eta0 must be positive and finite, got {self.eta0!r}")
+        if self.tau is not None and not 0.0 < self.tau < np.inf:
+            raise ConfigError(f"tau must be positive and finite, got {self.tau!r}")
 
 
 def _batch_rayleigh(y, v, scratch_n) -> float:
@@ -164,27 +165,31 @@ def batch_rayleigh(y, v) -> float:
     return _batch_rayleigh(ym, vv, np.empty(ym.shape[0]))
 
 
+def _deflated_matvec(y, peers, lams, x, scratch_n, out) -> np.ndarray:
+    """`deflated_matvec` into `out` on checked operands, via scratch_n = Y x."""
+    np.matmul(y, x, out=scratch_n)
+    np.matmul(y.T, scratch_n, out=out)
+    for p, lam in zip(peers, lams):
+        out -= lam * float(p @ x) * p
+    return out
+
+
 def deflated_matvec(y, peers, lams, x) -> np.ndarray:
     """(Y^T Y - sum_j lams[j] p_j p_j^T) x without forming any d x d matrix.
 
-    peers is an (m, d) stack, lams the matching eigenvalue estimates. Costs
-    O((n + m) d).
+    peers is an (m, d) stack (`linalg.peer_stack`), lams the matching
+    finite eigenvalue estimates. Costs O((n + m) d).
     """
     ym = as_matrix(y, "batch")
     xv = as_vector(x)
     d = ym.shape[1]
-    peers = np.ascontiguousarray(np.asarray(peers, dtype=np.float64).reshape(-1, d)
-                                 if np.size(peers) else np.zeros((0, d)))
-    lam = np.ascontiguousarray(np.asarray(lams, dtype=np.float64).reshape(-1))
-    if peers.shape[0] != lam.shape[0]:
-        raise ConfigError("one eigenvalue estimate is needed per deflation vector")
+    peers = peer_stack(peers, d)
+    lam = np.asarray(lams, dtype=np.float64).reshape(-1)
+    if peers.shape[0] != lam.shape[0] or not np.all(np.isfinite(lam)):
+        raise ConfigError("one finite eigenvalue estimate is needed per deflation vector")
     if xv.shape[0] != d:
         raise ConfigError(f"dimension mismatch: {ym.shape} vs {xv.shape}")
-    out = np.empty(d)
-    np.matmul(ym.T, ym @ xv, out=out)
-    for j in range(peers.shape[0]):
-        out -= lam[j] * float(peers[j] @ xv) * peers[j]
-    return out
+    return _deflated_matvec(ym, peers, lam, xv, np.empty(ym.shape[0]), np.empty(d))
 
 
 def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
@@ -221,15 +226,12 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
                         raise StreamError(
                             f"batch at worker {k}, round {rnd}, step {t} has shape "
                             f"{y.shape}, expected {(n, d)}")
-                    np.matmul(y, v, out=scratch_n)
-                    np.matmul(y.T, scratch_n, out=g)
-                    for p in peers:
-                        lam = _batch_rayleigh(y, p, scratch_n)
-                        g -= lam * float(p @ v) * p
+                    lams = [_batch_rayleigh(y, p, scratch_n) for p in peers]
+                    _deflated_matvec(y, peers, lams, v, scratch_n, g)
                     g *= eta((rnd - 1) * local_steps + (t - 1))
                     g += v
                     nrm = float(np.sqrt(g @ g))
-                    if nrm < 1e-300:
+                    if not 1e-300 <= nrm < np.inf:
                         raise NumericalError(
                             f"update collapsed at worker {k}, round {rnd}, step {t}")
                     np.divide(g, nrm, out=v)

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deflation import deflate
+from .deflation import _deflate
 from .engine import RunTrace
 from .errors import (ConfigError, CoverageError, DegenerateSpectrumError,
                      NumericalError)
 from .io import atomic_write_text
-from .linalg import EigenSystem, reference_eigh, sym_matrix
+from .linalg import EigenSystem, _eigh, peer_stack, reference_eigh, sym_matrix
 from .solvers import contraction_estimate
 
 _INV_E = math.exp(-1.0)
@@ -210,10 +210,10 @@ def schedule_for_run(sigma, truth: EigenSystem, n_components: int,
             f"K must lie in [1, d-1] for schedule gaps, got {n_components}")
     if local_steps < 1:
         raise ConfigError(f"local step count must be >= 1, got {local_steps}")
+    peers = peer_stack(truth.top(n_components - 1), sm.shape[0], unit=True)
     factors = np.empty(n_components)
     for k in range(1, n_components + 1):
-        ideal = deflate(sm, truth.vectors[: k - 1])
-        single = contraction_estimate(ideal).F
+        single = contraction_estimate(_deflate(sm, peers[: k - 1])).F
         factors[k - 1] = float(np.clip(single ** local_steps, 1e-12, 1.0 - 1e-12))
     m = cascade_rates(factors)
     scale = float(truth.values[0])
@@ -298,14 +298,14 @@ def davis_kahan_gap_bound(mstar, h) -> tuple[float, float]:
         raise ConfigError(f"shape mismatch: {ms.shape} vs {hm.shape}")
     if ms.shape[0] < 2:
         raise ConfigError("need dimension >= 2")
-    es_star = reference_eigh(ms)
+    es_star = EigenSystem(*_eigh(ms))
     scale = max(float(np.max(np.abs(es_star.values))), 1e-300)
     if es_star.values[0] - es_star.values[1] <= 1e-12 * scale:
         raise DegenerateSpectrumError("top eigenvalue of the base matrix is not simple")
-    es_pert = reference_eigh(sym_matrix(ms + hm))
+    es_pert = reference_eigh(ms + hm)
     dot = float(np.clip(abs(es_star.vectors[0] @ es_pert.vectors[0]), 0.0, 1.0))
     lhs = math.sqrt(max(1.0 - dot * dot, 0.0))
-    h_norm = float(np.max(np.abs(reference_eigh(hm).values)))
+    h_norm = float(np.max(np.abs(_eigh(hm)[0])))
     seps = np.abs(es_star.values[0] - es_pert.values[1:])
     denom = float(np.min(seps))
     rhs = math.inf if denom < 1e-300 else h_norm / denom

@@ -352,6 +352,30 @@ class TestExitCodes:
         assert code == 4
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--algorithm", "eigengame_mu"],
+        ["--algorithm", "parallel_deflation", "--solver", "hebb"],
+        ["--algorithm", "stochastic_parallel_deflation", "--schedule", "constant"],
+    ])
+    def test_infinite_eta_is_config_error(self, tmp_path, capsys, flags):
+        code = main(["run", *flags, "--eta", "inf", "--spectrum", "powerlaw",
+                     "--d", "6", "--K", "2", "--L", "3", "--trials", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "trial_000.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("algorithm", ["eigengame_mu", "stochastic_parallel_deflation"])
+    def test_overflowing_update_is_numerical_error(self, tmp_path, capsys, algorithm):
+        path = tmp_path / "huge.pdm1"
+        save_pdm1(path, 1e152 * np.arange(1.0, 13.0).reshape(3, 4))
+        code = main(["run", "--algorithm", algorithm, "--data", str(path),
+                     "--eta", "1e10", "--schedule", "constant", "--K", "2",
+                     "--L", "3", "--trials", "1", "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "collapsed" in capsys.readouterr().err
+
     def test_success_exit(self, tmp_path):
         code = main(["run", "--algorithm", "parallel_deflation", "--spectrum",
                      "powerlaw", "--d", "10", "--K", "2", "--L", "4",
