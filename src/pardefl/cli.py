@@ -6,12 +6,15 @@ Three subcommands:
            a per-round mean/min/max aggregate
   compare  several config files on a shared source/K, merged into one CSV
            keyed by (algorithm, T, round, total_steps)
-  theory   convergence schedule + envelope audit for a synthetic run
+  theory   convergence schedule + envelope audit for a synthetic
+           power-iteration parallel-deflation run
 
-Configs are flat key=value text files; every key can be overridden by the
-matching command-line flag. The environment variable PARDEFL_OUT overrides
-the output directory. Exit codes: 0 ok, 2 config error, 3 numerical
-failure, 4 I/O or data error.
+Each `ExperimentConfig` field is a key of the flat key=value config files
+and a `run`/`theory` flag `--<name>` (`_` written `-`) that overrides it;
+its annotation gives the value's type. Every field is checked when the
+config is built, whichever the algorithm reads. PARDEFL_OUT overrides the
+output directory. Exit codes are the error classes' `exit_code`: 0 ok,
+2 config error, 3 numerical failure, 4 I/O or data error.
 """
 
 import argparse
@@ -19,14 +22,14 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from .deflation import parallel_deflation, sequential_deflation
 from .eigengame import run_eigengame
-from .engine import RunTrace, attach_oracle
-from .errors import (ConfigError, DataFormatError, NumericalError,
-                     PardeflError, StreamError)
+from .engine import MODES, RunTrace, attach_oracle
+from .errors import ConfigError, PardeflError
 from .io import atomic_write_text, load_matrix
 from .linalg import covariance
 from .metrics import (discounted_rayleigh, gaussian_stream, random_covariance,
@@ -35,7 +38,7 @@ from .metrics import (discounted_rayleigh, gaussian_stream, random_covariance,
 # but perfbench/run.py wraps it by name on this module.
 from .metrics import recovery_error  # noqa: F401
 from .seeding import unit_init
-from .solvers import Top1Config
+from .solvers import POWER_ITERATION, Top1Config
 from .stochastic import (MatrixRowProvider, StepSchedule,
                          stochastic_parallel_deflation)
 from .theory import (bound_report_to_csv, check_bound, schedule_for_run,
@@ -52,6 +55,8 @@ AGGREGATE_HEADER = "algorithm,T,round,total_steps,mean,min,max"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; every field is a config key and a command-line flag."""
+
     algorithm: str = "parallel_deflation"
     spectrum: str | None = None
     d: int | None = None
@@ -92,14 +97,32 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 1.0 < self.c0 < np.inf:
+            raise ConfigError(f"c0 must exceed 1 and be finite, got {self.c0!r}")
+        # the library's own rules for solver, T, eta, schedule and tau
+        self._top1_config()
+        self._step_schedule()
+
+    def _top1_config(self) -> Top1Config:
+        """The local solver of the deflation engines."""
+        return Top1Config(method=self.solver, steps=self.T, eta=self.eta)
+
+    def _step_schedule(self) -> StepSchedule:
+        """The step sizes of the streaming engine."""
+        return StepSchedule(eta0=self.eta, mode=self.schedule, tau=self.tau)
 
     def source_key(self):
         return (self.spectrum, self.d, self.data, self.seed)
 
 
-_INT_KEYS = {"d", "K", "L", "T", "batch_size", "seed", "trials"}
-_FLOAT_KEYS = {"eta", "tau", "c0"}
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+# int, float or str per field, from annotations such as `int | None`
+_FIELD_TYPES = {f.name: next(t for t in (*get_args(f.type), f.type)
+                             if t is not type(None))
+                for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path) -> dict:
@@ -113,7 +136,7 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
         values[key] = val
     return values
@@ -125,12 +148,7 @@ def _coerce(values: dict) -> dict:
         if val is None:
             continue
         try:
-            if key in _INT_KEYS:
-                out[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(val)
-            else:
-                out[key] = str(val)
+            out[key] = _FIELD_TYPES[key](val)
         except ValueError as exc:
             raise ConfigError(f"field {key!r}: {exc}") from exc
     return out
@@ -138,9 +156,7 @@ def _coerce(values: dict) -> dict:
 
 def build_config(file_values: dict | None = None,
                  overrides: dict | None = None) -> ExperimentConfig:
-    merged = {}
-    merged.update(_coerce(file_values or {}))
-    merged.update(_coerce(overrides or {}))
+    merged = {**_coerce(file_values or {}), **_coerce(overrides or {})}
     if os.environ.get("PARDEFL_OUT"):
         merged["out"] = os.environ["PARDEFL_OUT"]
     return ExperimentConfig(**merged)
@@ -195,7 +211,7 @@ class _Problem:
 
 def _sequential_trace(cfg: ExperimentConfig, sigma, trial_seed: int) -> RunTrace:
     """Present a sequential run as K rounds, one component completed per round."""
-    final = sequential_deflation(sigma, cfg.K, _solver_config(cfg), trial_seed)
+    final = sequential_deflation(sigma, cfg.K, cfg._top1_config(), trial_seed)
     dim = sigma.shape[0]
     inits = np.stack([unit_init(trial_seed, k, dim) for k in range(1, cfg.K + 1)])
     vectors = np.empty((cfg.K, cfg.K, dim))
@@ -207,31 +223,23 @@ def _sequential_trace(cfg: ExperimentConfig, sigma, trial_seed: int) -> RunTrace
                     seed=trial_seed, vectors=vectors)
 
 
-def _solver_config(cfg: ExperimentConfig) -> Top1Config:
-    if cfg.solver == "hebb":
-        if cfg.eta is None:
-            raise ConfigError("solver hebb needs eta")
-        return Top1Config(method="hebb", steps=cfg.T, eta=cfg.eta)
-    if cfg.solver != "power_iteration":
-        raise ConfigError(f"solver must be power_iteration or hebb, got {cfg.solver!r}")
-    return Top1Config(method="power_iteration", steps=cfg.T)
+def _require_rounds(cfg: ExperimentConfig) -> None:
+    if cfg.L is None and cfg.algorithm != "sequential_deflation":
+        raise ConfigError(f"L is required for {cfg.algorithm}")
 
 
 def run_trial(cfg: ExperimentConfig, problem: _Problem, trial: int) -> RunTrace:
     trial_seed = cfg.seed + trial
     algo = cfg.algorithm
-    if cfg.L is None and algo != "sequential_deflation":
-        raise ConfigError(f"L is required for {algo}")
     if algo == "parallel_deflation":
         trace = parallel_deflation(problem.sigma, cfg.K, cfg.L,
-                                   _solver_config(cfg), trial_seed, mode=cfg.mode)
+                                   cfg._top1_config(), trial_seed, mode=cfg.mode)
     elif algo == "sequential_deflation":
         trace = _sequential_trace(cfg, problem.sigma, trial_seed)
     elif algo == "stochastic_parallel_deflation":
-        sched = StepSchedule(eta0=cfg.eta, mode=cfg.schedule, tau=cfg.tau)
         trace = stochastic_parallel_deflation(problem.provider(trial_seed), cfg.K,
-                                              cfg.L, cfg.T, sched, trial_seed,
-                                              mode=cfg.mode)
+                                              cfg.L, cfg.T, cfg._step_schedule(),
+                                              trial_seed, mode=cfg.mode)
     else:
         variant = "alpha" if algo.endswith("alpha") else "mu"
         trace = run_eigengame(variant, problem.sigma, cfg.K, cfg.L, cfg.T,
@@ -268,6 +276,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Returns {"trials": [paths], "aggregate": path, "metric": (trials, L)
     array}. Reruns with identical config and seed are byte-identical.
     """
+    _require_rounds(cfg)
     problem = _Problem(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -295,6 +304,7 @@ def run_comparison(cfgs: list[ExperimentConfig], out_path) -> Path:
     n_comp = cfgs[0].K
     seen = set()
     for cfg in cfgs:
+        _require_rounds(cfg)
         if cfg.source_key() != key:
             raise ConfigError("compared configs must share the same source")
         if cfg.K != n_comp:
@@ -320,20 +330,27 @@ def run_comparison(cfgs: list[ExperimentConfig], out_path) -> Path:
 def run_theory_report(cfg: ExperimentConfig, extra_rounds: int = 50) -> dict:
     """Schedule + envelope audit against a fresh parallel-deflation trace.
 
-    Needs a synthetic source (the oracle eigensystem must be known). When
+    Needs a synthetic source (the oracle eigensystem must be known) and
+    the power-iteration parallel deflation the schedule describes. When
     cfg.L is unset it is sized to s_K + extra_rounds; an explicitly
     configured shorter L fails the coverage check inside `check_bound`,
     which reports the required length.
     """
     if cfg.spectrum is None:
         raise ConfigError("the theory report needs a synthetic source")
+    if cfg.algorithm != "parallel_deflation":
+        raise ConfigError(f"the theory report audits algorithm parallel_deflation, "
+                          f"got {cfg.algorithm!r}")
+    if cfg.solver != POWER_ITERATION:
+        raise ConfigError(f"the theory report's schedule is for solver "
+                          f"{POWER_ITERATION}, got {cfg.solver!r}")
     problem = _Problem(cfg)
     schedule = schedule_for_run(problem.sigma, problem.truth, cfg.K, cfg.T,
                                 c0=cfg.c0)
     n_rounds = cfg.L if cfg.L is not None else int(schedule.s[-1]) + extra_rounds
     n_rounds = max(n_rounds, cfg.K)
     trace = parallel_deflation(problem.sigma, cfg.K, n_rounds,
-                               _solver_config(cfg), cfg.seed, mode=cfg.mode)
+                               cfg._top1_config(), cfg.seed, mode=cfg.mode)
     trace = attach_oracle(trace, problem.truth)
     report = check_bound(trace, schedule)
     outdir = Path(cfg.out)
@@ -346,32 +363,16 @@ def run_theory_report(cfg: ExperimentConfig, extra_rounds: int = 50) -> dict:
             "schedule_csv": schedule_path, "bounds_csv": bounds_path}
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--algorithm", choices=ALGORITHMS)
-    p.add_argument("--spectrum", choices=sorted(SPECTRA))
-    p.add_argument("--d", type=int)
-    p.add_argument("--data", help="dataset path (.pdm1 or CSV)")
-    p.add_argument("--K", type=int)
-    p.add_argument("--L", type=int)
-    p.add_argument("--T", type=int)
-    p.add_argument("--solver", choices=("power_iteration", "hebb"))
-    p.add_argument("--eta", type=float)
-    p.add_argument("--schedule", choices=("constant", "inverse_time"))
-    p.add_argument("--tau", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--mode", choices=("serial", "thread"))
-    p.add_argument("--c0", type=float)
-    p.add_argument("--out")
+    for name, kind in _FIELD_TYPES.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       metavar=kind.__name__)
 
 
 def _config_from_args(args) -> ExperimentConfig:
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {k: getattr(args, k) for k in _CONFIG_KEYS
-                 if getattr(args, k, None) is not None}
-    return build_config(file_values, overrides)
+    return build_config(file_values, {k: getattr(args, k) for k in _FIELD_TYPES})
 
 
 def main(argv=None) -> int:
@@ -380,14 +381,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment configuration")
-    _add_common_flags(p_run)
+    _add_config_flags(p_run)
 
     p_cmp = sub.add_parser("compare", help="run several configs, merge aggregates")
     p_cmp.add_argument("configs", nargs="+", help="config files to compare")
     p_cmp.add_argument("--out", default="comparison.csv")
 
     p_thy = sub.add_parser("theory", help="schedule + bound audit on a synthetic run")
-    _add_common_flags(p_thy)
+    _add_config_flags(p_thy)
 
     args = parser.parse_args(argv)
     try:
@@ -406,18 +407,9 @@ def main(argv=None) -> int:
             print(f"schedule s = {starts}; "
                   f"{report.n_rows} bound rows, {report.n_violations} violation(s)")
             print(f"wrote {result['schedule_csv']} and {result['bounds_csv']}")
-    except ConfigError as exc:
+    except (PardeflError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DataFormatError, StreamError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except PardeflError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return getattr(exc, "exit_code", 4)
     return 0
 
 

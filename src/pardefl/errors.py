@@ -1,16 +1,19 @@
 """Exception types shared across the package.
 
-The command line maps these onto process exit codes: configuration problems
-exit with 2, numerical failures with 3, I/O and data-format problems with 4.
+Each class carries the process exit code the command line returns for it
+as `exit_code`: configuration problems exit with 2, numerical failures
+with 3, data-format and batch-source problems with 4 (as does `OSError`).
 """
 
 
 class PardeflError(Exception):
     """Base class for all package-specific errors."""
+    exit_code = 3
 
 
 class ConfigError(PardeflError, ValueError):
     """Invalid argument, configuration, or violated precondition."""
+    exit_code = 2
 
 
 class CapacityError(ConfigError):
@@ -31,7 +34,9 @@ class CoverageError(NumericalError):
 
 class DataFormatError(PardeflError, ValueError):
     """Malformed data file."""
+    exit_code = 4
 
 
 class StreamError(PardeflError, RuntimeError):
     """A batch source failed or ran out mid-run."""
+    exit_code = 4

@@ -34,7 +34,8 @@ class Top1Config:
 
     def __post_init__(self):
         if self.method not in (POWER_ITERATION, HEBB):
-            raise ConfigError(f"unknown Top1 method {self.method!r}")
+            raise ConfigError(f"solver must be {POWER_ITERATION!r} or {HEBB!r}, "
+                              f"got {self.method!r}")
         if int(self.steps) < 1:
             raise ConfigError(f"Top1 steps must be >= 1, got {self.steps}")
         if self.method == HEBB and (self.eta is None or not 0.0 < self.eta < np.inf):

@@ -45,7 +45,7 @@ class GaussianStreamProvider:
     """
 
     def __init__(self, values, vectors, batch_size: int, seed: int):
-        values = np.asarray(values, dtype=np.float64)
+        values = as_vector(values, "eigenvalues")
         vectors = as_matrix(vectors, "eigenvector matrix")
         if values.shape[0] != vectors.shape[0]:
             raise ConfigError("eigenvalue/eigenvector count mismatch")
@@ -112,7 +112,8 @@ class StepSchedule:
 
     def __post_init__(self):
         if self.mode not in ("constant", "inverse_time"):
-            raise ConfigError(f"unknown schedule mode {self.mode!r}")
+            raise ConfigError(f"schedule must be 'constant' or 'inverse_time', "
+                              f"got {self.mode!r}")
         if self.eta0 is not None and not 0.0 < self.eta0 < np.inf:
             raise ConfigError(f"eta0 must be positive and finite, got {self.eta0!r}")
         if self.tau is not None and not 0.0 < self.tau < np.inf:

@@ -1,13 +1,17 @@
 import csv
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from pardefl import discounted_rayleigh, recovery_error, save_pdm1
+from pardefl import cli, discounted_rayleigh, recovery_error, save_pdm1
 from pardefl.cli import (TRIAL_HEADER, ExperimentConfig, _Problem, _trial_csv,
                          build_config, main, parse_config_file, run_comparison,
                          run_experiment, run_theory_report, run_trial)
-from pardefl.errors import ConfigError
+from pardefl.errors import (CapacityError, ConfigError, CoverageError,
+                            DataFormatError, DegenerateSpectrumError,
+                            NumericalError, PardeflError, StreamError)
 
 
 def read_csv(path):
@@ -52,6 +56,80 @@ class TestConfig:
             small_cfg(T=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(algorithm="parallel_deflation")   # no source
+
+
+def write_cfg(path, values):
+    path.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    return path
+
+
+def as_flags(values):
+    return [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), str(v))]
+
+
+VALID = dict(algorithm="parallel_deflation", spectrum="powerlaw", d="6", K="2",
+             L="3", trials="1")
+
+
+class TestCheckedAtLoad:
+    """Every field is checked when the config is built, whatever the algorithm."""
+
+    @pytest.mark.parametrize("as_file", [False, True], ids=["flag", "file"])
+    @pytest.mark.parametrize("values,named", [
+        pytest.param({"eta": "inf"}, "eta", id="eta-inf"),
+        pytest.param({"batch_size": "0"}, "batch_size", id="batch_size-0"),
+        pytest.param({"tau": "nan"}, "tau", id="tau-nan"),
+        pytest.param({"c0": "nan"}, "c0", id="c0-nan"),
+        pytest.param({"algorithm": "eigengame_mu", "solver": "hebb"}, "eta",
+                     id="hebb-without-eta"),
+        pytest.param({"solver": "bogus"}, "solver", id="solver-bogus"),
+        pytest.param({"schedule": "bogus"}, "schedule", id="schedule-bogus"),
+        pytest.param({"mode": "bogus"}, "mode", id="mode-bogus"),
+    ])
+    def test_rejected_before_output(self, tmp_path, capsys, as_file, values, named):
+        values = {**VALID, **values, "out": tmp_path / "x"}
+        if as_file:
+            argv = ["run", "--config", str(write_cfg(tmp_path / "bad.cfg", values))]
+        else:
+            argv = ["run", *as_flags(values)]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("values,named", [
+        pytest.param({"solver": "hebb"}, "eta", id="hebb-without-eta"),
+        pytest.param({"L": None}, "L is required", id="no-L"),
+    ])
+    def test_compare_checks_every_file_before_running(self, tmp_path, capsys,
+                                                      values, named):
+        good = write_cfg(tmp_path / "good.cfg", {**VALID, "out": tmp_path / "o1"})
+        bad = {**VALID, "algorithm": "eigengame_mu", **values, "out": tmp_path / "o2"}
+        bad = write_cfg(tmp_path / "bad.cfg",
+                        {k: v for k, v in bad.items() if v is not None})
+        code = main(["compare", str(good), str(bad), "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_one_flag_per_field(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        offered = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        expect = {"--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)}
+        assert offered == expect | {"--config", "--help"}
+
+
+@pytest.mark.parametrize("exc,code", [
+    (PardeflError, 3), (NumericalError, 3), (DegenerateSpectrumError, 3),
+    (CoverageError, 3), (ConfigError, 2), (CapacityError, 2),
+    (DataFormatError, 4), (StreamError, 4), (OSError, 4), (FileNotFoundError, 4),
+])
+def test_exit_code_per_error_class(tmp_path, capsys, monkeypatch, exc, code):
+    def fail(cfg):
+        raise exc("boom")
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    assert main(["run", *as_flags(VALID)]) == code
+    assert "error: boom" in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -310,6 +388,19 @@ class TestTheoryCommand:
                      "--out", str(tmp_path / "thy2")])
         assert code == 3
         assert "needs at least L" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--algorithm", "eigengame_mu"], "algorithm"),
+        (["--solver", "hebb", "--eta", "0.05"], "solver"),
+    ])
+    def test_refuses_what_the_schedule_does_not_describe(self, tmp_path, capsys,
+                                                         flags, named):
+        code = main(["theory", *flags, "--spectrum", "powerlaw", "--d", "24",
+                     "--K", "2", "--T", "2", "--seed", "3",
+                     "--out", str(tmp_path / "thy")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "thy").exists()
 
     def test_needs_synthetic_source(self, tmp_path, rng):
         data = tmp_path / "d.pdm1"

@@ -86,6 +86,11 @@ class TestProviders:
         with pytest.raises(NumericalError):
             GaussianStreamProvider(np.array([1.0, -0.5]), np.eye(2), 4, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gaussian_rejects_non_finite_eigenvalue(self, bad):
+        with pytest.raises(ConfigError, match="eigenvalues has non-finite entries"):
+            GaussianStreamProvider([bad, 1.0], np.eye(2), 4, seed=0)
+
     def test_row_provider_samples_rows(self, rng):
         data = rng.standard_normal((6, 3))
         prov = MatrixRowProvider(data, 4, seed=9)
