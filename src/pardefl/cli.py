@@ -72,7 +72,6 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 1
     mode: str = "serial"
-    c0: float = 3.0
     out: str = "pardefl_out"
 
     def __post_init__(self):
@@ -101,8 +100,6 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 1.0 < self.c0 < np.inf:
-            raise ConfigError(f"c0 must exceed 1 and be finite, got {self.c0!r}")
         # the library's own rules for solver, T, eta, schedule and tau
         self._top1_config()
         self._step_schedule()
@@ -345,8 +342,7 @@ def run_theory_report(cfg: ExperimentConfig, extra_rounds: int = 50) -> dict:
         raise ConfigError(f"the theory report's schedule is for solver "
                           f"{POWER_ITERATION}, got {cfg.solver!r}")
     problem = _Problem(cfg)
-    schedule = schedule_for_run(problem.sigma, problem.truth, cfg.K, cfg.T,
-                                c0=cfg.c0)
+    schedule = schedule_for_run(problem.sigma, problem.truth, cfg.K, cfg.T)
     n_rounds = cfg.L if cfg.L is not None else int(schedule.s[-1]) + extra_rounds
     n_rounds = max(n_rounds, cfg.K)
     trace = parallel_deflation(problem.sigma, cfg.K, n_rounds,

@@ -103,11 +103,8 @@ def parallel_deflation(sigma, n_components: int, n_rounds: int,
     bitwise identical results.
     """
     sm = sym_matrix(sigma)
-    d = sm.shape[0]
-    if not 1 <= n_components <= d:
-        raise ConfigError(f"K must lie in [1, {d}], got {n_components}")
     return run_round_synchronous(
-        dim=d, n_workers=n_components, n_rounds=n_rounds, seed=seed,
+        dim=sm.shape[0], n_workers=n_components, n_rounds=n_rounds, seed=seed,
         update=_round_update(sm, cfg, top1_fn), algorithm="parallel_deflation",
         local_steps=cfg.steps, mode=mode)
 

@@ -81,17 +81,12 @@ def run_eigengame(variant: EigenGameVariant, sigma, n_components: int,
     if variant not in ("alpha", "mu"):
         raise ConfigError(f"unknown EigenGame variant {variant!r}")
     sm = sym_matrix(sigma)
-    d = sm.shape[0]
-    if not 1 <= n_components <= d:
-        raise ConfigError(f"K must lie in [1, {d}], got {n_components}")
-    if local_steps < 1:
-        raise ConfigError(f"local step count must be >= 1, got {local_steps}")
     if eta is None:
         eta = _default_eta(sm, seed)
     elif not 0.0 < eta < np.inf:
         raise ConfigError(f"step size must be positive and finite, got {eta!r}")
     return run_round_synchronous(
-        dim=d, n_workers=n_components, n_rounds=n_rounds, seed=seed,
+        dim=sm.shape[0], n_workers=n_components, n_rounds=n_rounds, seed=seed,
         update=dense_round_update(sm, variant, steps=local_steps, eta=eta),
         algorithm=f"eigengame_{variant}",
         local_steps=local_steps, variant=variant, mode=mode)

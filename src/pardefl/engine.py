@@ -142,12 +142,15 @@ def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
     `snapshot` is the read-only (K, d) broadcast state of the previous round
     (round 0 holds the frozen initial vectors); see `next_round`. Thread
     mode runs the active row blocks of a round on at most
-    min(n_blocks, cpu count) threads.
+    min(n_blocks, cpu count) threads. It checks the run's shape for every
+    round-synchronous engine: 1 <= K <= d, T >= 1 and L >= K.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown engine mode {mode!r}")
-    if n_workers < 1:
-        raise ConfigError(f"need at least one worker, got {n_workers}")
+    if not 1 <= n_workers <= dim:
+        raise ConfigError(f"K must lie in [1, {dim}], got {n_workers}")
+    if local_steps < 1:
+        raise ConfigError(f"local step count must be >= 1, got {local_steps}")
     if n_rounds < n_workers:
         raise ConfigError(
             f"need at least as many rounds as workers, got L={n_rounds} < K={n_workers}")

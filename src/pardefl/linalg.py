@@ -96,14 +96,12 @@ def covariance(y, max_bytes: int = DEFAULT_MATRIX_CAP_BYTES) -> np.ndarray:
 
 
 def matvec(a, x) -> np.ndarray:
-    """Dense matrix-vector product with a fixed accumulation order."""
+    """Dense matrix-vector product A x of checked, finite operands."""
     am = as_matrix(a)
     xv = as_vector(x)
     if am.shape[1] != xv.shape[0]:
         raise ConfigError(f"dimension mismatch: {am.shape} @ {xv.shape}")
-    out = np.empty(am.shape[0])
-    np.matmul(am, xv, out=out)
-    return out
+    return am @ xv
 
 
 def normalize(v) -> np.ndarray:
@@ -146,10 +144,11 @@ class EigenSystem:
     vectors: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        vectors = _canonical_sign(np.ascontiguousarray(self.vectors, dtype=np.float64))
-        if vectors.ndim != 2 or values.ndim != 1 or vectors.shape[0] != values.shape[0]:
+        values = as_vector(self.values, "eigenvalues")
+        vectors = as_matrix(self.vectors, "eigenvector matrix")
+        if vectors.shape[0] != values.shape[0]:
             raise ConfigError("eigensystem shape mismatch")
+        vectors = _canonical_sign(vectors)
         if np.any(np.diff(values) > 0.0):
             raise ConfigError("eigenvalues must be non-increasing")
         gram = vectors @ vectors.T

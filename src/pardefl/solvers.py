@@ -61,21 +61,19 @@ def _nonzero(sm: np.ndarray) -> np.ndarray:
 
 
 def _top1(sm: np.ndarray, v: np.ndarray, cfg: Top1Config) -> np.ndarray:
-    """`top1` on a checked, exactly symmetric matrix and unit start vector.
-
-    The one power/Hebb step loop; a zero or non-finite norm is a NumericalError.
-    """
+    """`top1`'s loop on a checked, exactly symmetric matrix and unit start
+    vector: g = Sigma x (Hebb: x + eta Sigma x), x = g/||g||, then the optional
+    flip toward v. A zero or non-finite norm is a NumericalError."""
     eta = float(cfg.eta) if cfg.method == HEBB else None
-    out, scratch = v.copy(), np.empty_like(v)
+    out = v
     for _ in range(int(cfg.steps)):
-        np.matmul(sm, out, out=scratch)
+        g = sm @ out
         if eta is not None:
-            scratch *= eta
-            scratch += out
-        nrm = float(np.sqrt(scratch @ scratch))
+            g = out + eta * g
+        nrm = float(np.sqrt(g @ g))
         if not 1e-300 <= nrm < np.inf:
             raise NumericalError("local solver hit a (near-)zero or non-finite iterate")
-        np.divide(scratch, nrm, out=out)
+        out = g / nrm
     if cfg.sign_align_output and float(out @ v) < 0.0:
         return -out
     return out

@@ -14,6 +14,8 @@ the end of the round. No operation here allocates a d x d buffer.
 Batch providers are pull-based and replayable: batch(worker, round, step)
 is a pure function of the provider seed and that index triple, so worker
 streams are independent and threaded execution cannot reorder consumption.
+Every batch, the one that sizes an unset eta0 included, goes through
+`_fetch_batch`: a failing source or a wrong shape is a StreamError.
 """
 
 from dataclasses import dataclass
@@ -120,34 +122,46 @@ class StepSchedule:
             raise ConfigError(f"tau must be positive and finite, got {self.tau!r}")
 
 
-def _batch_rayleigh(y, v, scratch_n) -> float:
-    """||Y v||^2 on validated float64 operands; Y v is left in scratch_n."""
-    np.matmul(y, v, out=scratch_n)
-    return float(scratch_n @ scratch_n)
+def _fetch_batch(provider, worker: int, rnd: int, step: int) -> np.ndarray:
+    """One float64 batch; a failing source or a wrong shape is a StreamError."""
+    try:
+        y = np.ascontiguousarray(provider.batch(worker, rnd, step), dtype=np.float64)
+    except Exception as exc:
+        raise StreamError(f"batch source failed at worker {worker}, round {rnd}, "
+                          f"step {step}: {exc}") from exc
+    expected = (provider.batch_size, provider.dim)
+    if y.shape != expected:
+        raise StreamError(f"batch at worker {worker}, round {rnd}, step {step} has "
+                          f"shape {y.shape}, expected {expected}")
+    return y
+
+
+def _batch_rayleigh(y, v) -> float:
+    """||Y v||^2 on validated float64 operands."""
+    yv = y @ v
+    return float(yv @ yv)
 
 
 def _estimate_top_eigenvalue(y: np.ndarray, seed: int, steps: int = 32) -> float:
     """Top eigenvalue of Y^T Y by matrix-free power iteration."""
-    d = y.shape[1]
-    v = rng_for(seed, ETA_STREAM).standard_normal(d)
+    v = rng_for(seed, ETA_STREAM).standard_normal(y.shape[1])
     v /= max(float(np.linalg.norm(v)), 1e-300)
-    scratch = np.empty(y.shape[0])
     for _ in range(steps):
-        lam = _batch_rayleigh(y, v, scratch)
-        if lam < 1e-300:
+        yv = y @ v
+        if float(yv @ yv) < 1e-300:
             raise NumericalError("first batch is numerically zero; cannot size eta0")
-        w = y.T @ scratch
+        w = y.T @ yv
         v = w / float(np.linalg.norm(w))
-    return _batch_rayleigh(y, v, scratch)
+    return _batch_rayleigh(y, v)
 
 
 def resolve_schedule(schedule: StepSchedule, provider: BatchProvider,
                      total_steps: int, seed: int):
-    """Concretize a schedule into a callable eta(global_step)."""
+    """Concretize a schedule into a callable eta(global_step); an unset eta0
+    is sized from the checked batch of worker 1, round 1, step 1."""
     eta0 = schedule.eta0
     if eta0 is None:
-        first = np.ascontiguousarray(provider.batch(1, 1, 1), dtype=np.float64)
-        eta0 = 2.0 / _estimate_top_eigenvalue(first, seed)
+        eta0 = 2.0 / _estimate_top_eigenvalue(_fetch_batch(provider, 1, 1, 1), seed)
     if schedule.mode == "constant":
         return lambda step: eta0
     tau = schedule.tau if schedule.tau is not None else max(total_steps / 10.0, 1.0)
@@ -163,16 +177,15 @@ def batch_rayleigh(y, v) -> float:
     vv = as_vector(v)
     if ym.shape[1] != vv.shape[0]:
         raise ConfigError(f"dimension mismatch: {ym.shape} vs {vv.shape}")
-    return _batch_rayleigh(ym, vv, np.empty(ym.shape[0]))
+    return _batch_rayleigh(ym, vv)
 
 
-def _deflated_matvec(y, peers, lams, x, scratch_n, out) -> np.ndarray:
-    """`deflated_matvec` into `out` on checked operands, via scratch_n = Y x."""
-    np.matmul(y, x, out=scratch_n)
-    np.matmul(y.T, scratch_n, out=out)
+def _deflated_matvec(y, peers, lams, x) -> np.ndarray:
+    """`deflated_matvec` on checked operands."""
+    g = y.T @ (y @ x)
     for p, lam in zip(peers, lams):
-        out -= lam * float(p @ x) * p
-    return out
+        g -= lam * float(p @ x) * p
+    return g
 
 
 def deflated_matvec(y, peers, lams, x) -> np.ndarray:
@@ -190,56 +203,41 @@ def deflated_matvec(y, peers, lams, x) -> np.ndarray:
         raise ConfigError("one finite eigenvalue estimate is needed per deflation vector")
     if xv.shape[0] != d:
         raise ConfigError(f"dimension mismatch: {ym.shape} vs {xv.shape}")
-    return _deflated_matvec(ym, peers, lam, xv, np.empty(ym.shape[0]), np.empty(d))
+    return _deflated_matvec(ym, peers, lam, xv)
 
 
 def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
                                   n_rounds: int, local_steps: int,
                                   schedule: StepSchedule, seed: int,
                                   mode: str = "serial") -> RunTrace:
-    """Streaming parallel deflation; deterministic given the seed."""
-    d = provider.dim
-    n = provider.batch_size
-    if not 1 <= n_components <= d:
-        raise ConfigError(f"K must lie in [1, {d}], got {n_components}")
-    if local_steps < 1:
-        raise ConfigError(f"local step count must be >= 1, got {local_steps}")
-    eta = resolve_schedule(schedule, provider, n_rounds * local_steps, seed)
+    """Streaming parallel deflation; deterministic given the seed. The schedule
+    is resolved as round 1 starts, after the driver has checked K, T and L."""
+    eta = None
 
     def update(rnd, prev):
+        nonlocal eta
+        if eta is None:
+            eta = resolve_schedule(schedule, provider, n_rounds * local_steps, seed)
+
         def block(lo, hi):
-            rows = np.empty((hi - lo, d))
-            scratch_n, g = np.empty(n), np.empty(d)
+            rows = prev[lo:hi].copy()
             for r in range(lo, hi):
-                k = r + 1
                 peers = prev[:r]
-                v = rows[r - lo]
-                v[:] = prev[r]
                 for t in range(1, local_steps + 1):
-                    try:
-                        y = np.ascontiguousarray(provider.batch(k, rnd, t),
-                                                 dtype=np.float64)
-                    except Exception as exc:
-                        raise StreamError(
-                            f"batch source failed at worker {k}, round {rnd}, "
-                            f"step {t}: {exc}") from exc
-                    if y.shape != (n, d):
-                        raise StreamError(
-                            f"batch at worker {k}, round {rnd}, step {t} has shape "
-                            f"{y.shape}, expected {(n, d)}")
-                    lams = [_batch_rayleigh(y, p, scratch_n) for p in peers]
-                    _deflated_matvec(y, peers, lams, v, scratch_n, g)
-                    g *= eta((rnd - 1) * local_steps + (t - 1))
-                    g += v
+                    y = _fetch_batch(provider, r + 1, rnd, t)
+                    v = rows[r - lo]
+                    lams = [_batch_rayleigh(y, p) for p in peers]
+                    g = v + eta((rnd - 1) * local_steps + (t - 1)) * _deflated_matvec(
+                        y, peers, lams, v)
                     nrm = float(np.sqrt(g @ g))
                     if not 1e-300 <= nrm < np.inf:
                         raise NumericalError(
-                            f"update collapsed at worker {k}, round {rnd}, step {t}")
-                    np.divide(g, nrm, out=v)
+                            f"update collapsed at worker {r + 1}, round {rnd}, step {t}")
+                    rows[r - lo] = g / nrm
             return rows
         return block
 
     return run_round_synchronous(
-        dim=d, n_workers=n_components, n_rounds=n_rounds, seed=seed,
+        dim=provider.dim, n_workers=n_components, n_rounds=n_rounds, seed=seed,
         update=update, algorithm="stochastic_parallel_deflation",
         local_steps=local_steps, mode=mode)

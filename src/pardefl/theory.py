@@ -29,9 +29,11 @@ _INV_E = math.exp(-1.0)
 def lambert_w_m1(x: float) -> float:
     """Lower branch W_{-1} of the inverse of w e^w, for x in [-1/e, 0).
 
-    Halley iteration from the asymptotic guess log(-x) - log(-log(-x)),
-    with a bisection fallback; the residual |w e^w - x| is driven below
-    1e-12 * max(|x|, 1e-300).
+    Halley iteration from the asymptotic guess log(-x) - log(-log(-x)); a
+    step that would reach -1 or beyond lands on the midpoint of w and -1
+    instead, which keeps the iterate on the W_{-1} branch. Returns w <= -1
+    with |w e^w - x| <= 1e-12 * max(|x|, 1e-300), or raises NumericalError
+    after 100 iterations.
     """
     x = float(x)
     if not -_INV_E - 1e-12 <= x < 0.0:
@@ -54,21 +56,7 @@ def lambert_w_m1(x: float) -> float:
         if w_next >= -1.0:
             w_next = 0.5 * (w - 1.0)
         w = w_next
-    # Halley stalled (can only happen extremely close to the branch point):
-    # seal with bisection on the decreasing flank w <= -1.
-    lo, hi = w, -1.0
-    while lo * math.exp(lo) - x < 0.0:
-        lo *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(mid) - x >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    w = 0.5 * (lo + hi)
-    if abs(w * math.exp(w) - x) > tol:
-        raise NumericalError(f"W_-1 evaluation failed to converge for x = {x!r}")
-    return w
+    raise NumericalError(f"W_-1 evaluation failed to converge for x = {x!r}")
 
 
 def w_cap(a: float) -> float:

@@ -79,7 +79,6 @@ class TestCheckedAtLoad:
         pytest.param({"eta": "inf"}, "eta", id="eta-inf"),
         pytest.param({"batch_size": "0"}, "batch_size", id="batch_size-0"),
         pytest.param({"tau": "nan"}, "tau", id="tau-nan"),
-        pytest.param({"c0": "nan"}, "c0", id="c0-nan"),
         pytest.param({"algorithm": "eigengame_mu", "solver": "hebb"}, "eta",
                      id="hebb-without-eta"),
         pytest.param({"solver": "bogus"}, "solver", id="solver-bogus"),

@@ -1,16 +1,18 @@
 """The batched dense round against a per-worker reference, its error
-messages, and the bounded thread pool of `run_round_synchronous`."""
+messages, the run-shape checks and the bounded thread pool of
+`run_round_synchronous`."""
 
 import os
 
 import numpy as np
 import pytest
 
-from pardefl import (NumericalError, Top1Config, deflate, eigengame_alpha_grad,
-                     eigengame_mu_grad, normalize, parallel_deflation,
-                     run_eigengame, top1, unit_init)
+from pardefl import (ConfigError, NumericalError, StepSchedule, Top1Config,
+                     deflate, eigengame_alpha_grad, eigengame_mu_grad, normalize,
+                     parallel_deflation, run_eigengame,
+                     stochastic_parallel_deflation, top1, unit_init)
 from pardefl import engine
-from pardefl.metrics import random_covariance
+from pardefl.metrics import gaussian_stream, random_covariance
 
 # K spans two row blocks, and rounds 1..9 leave workers idle; the reference
 # comparison covers those idle rows too
@@ -84,6 +86,39 @@ def test_collapsed_update_named():
     # x + 0.5 (-2 x) is exactly zero
     with pytest.raises(NumericalError, match="worker 1, round 1: update collapsed to zero"):
         run_eigengame("mu", -2.0 * np.eye(3), 1, 1, 1, eta=0.5, seed=0)
+
+
+# every engine leaves K and T to the round driver; Top1Config itself
+# rejects a zero step count for parallel deflation
+RUNS = {
+    "parallel_deflation": lambda s, k, t: parallel_deflation(
+        s, k, D + 2, Top1Config(steps=t), seed=0),
+    "eigengame_alpha": lambda s, k, t: run_eigengame("alpha", s, k, D + 2, t, eta=0.1),
+    "eigengame_mu": lambda s, k, t: run_eigengame("mu", s, k, D + 2, t, eta=0.1),
+    "stochastic_parallel_deflation": lambda s, k, t: stochastic_parallel_deflation(
+        gaussian_stream(s, 8, 0), k, D + 2, t, StepSchedule(), seed=0),
+}
+
+
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+@pytest.mark.parametrize("k, t, text", [(0, 1, r"K must lie in \[1, 24\], got 0"),
+                                        (D + 1, 1, r"K must lie in \[1, 24\], got 25"),
+                                        (2, 0, r"step.* must be >= 1, got 0")],
+                         ids=["K=0", "K=d+1", "T=0"])
+def test_run_shape_rejected(sigma, run, k, t, text):
+    with pytest.raises(ConfigError, match=text):
+        run(sigma, k, t)
+
+
+def test_run_shape_checked_before_any_batch():
+    class Down:
+        batch_size, dim = 4, 3
+
+        def batch(self, worker, rnd, step):
+            raise RuntimeError("source down")
+
+    with pytest.raises(ConfigError, match="K must lie"):
+        stochastic_parallel_deflation(Down(), 4, 5, 1, StepSchedule(), seed=0)
 
 
 def test_thread_pool_bounded_by_blocks_and_cores(sigma, monkeypatch):

@@ -171,6 +171,15 @@ class TestEigenSystem:
             EigenSystem(values=np.array([2.0, 1.0]),
                         vectors=np.array([[1.0, 0.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("values, vectors", [
+        ([1.0], [1.0, 0.0]),
+        ([1.0], np.ones((1, 2, 2))),
+        ([1.0], [[np.nan, 1.0]]),
+    ], ids=["1-d-vectors", "3-d-vectors", "nan-entry"])
+    def test_rejects_malformed_input(self, values, vectors):
+        with pytest.raises(ConfigError, match="eigenvector matrix"):
+            EigenSystem(values=values, vectors=vectors)
+
     def test_immutable(self):
         es = EigenSystem(values=np.array([2.0, 1.0]), vectors=np.eye(2))
         with pytest.raises(ValueError):

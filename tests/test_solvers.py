@@ -55,6 +55,13 @@ class TestPowerIteration:
         with pytest.raises(NumericalError):
             pow_iter(np.diag([1.0, 0.0]), np.array([0.0, 1.0]), 1)
 
+    def test_anti_aligned_result_flipped(self):
+        # the dominant eigenvalue -2 turns e1 into -e1 in one step
+        sigma, e1 = np.diag([-2.0, 1.0]), np.array([1.0, 0.0])
+        assert np.array_equal(pow_iter(sigma, e1, 1), e1)
+        assert np.array_equal(pow_iter(sigma, e1, 1, sign_align_output=False), -e1)
+        assert np.array_equal(hebb(sigma, e1, 1, 1.0), e1)
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ConfigError):
             pow_iter(np.zeros((2, 2)), np.array([1.0, 0.0]), 1)

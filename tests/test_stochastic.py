@@ -212,6 +212,22 @@ class TestStochasticEngine:
             stochastic_parallel_deflation(WrongShape(), 1, 2, 1,
                                           StepSchedule(eta0=0.1), seed=1)
 
+    @pytest.mark.parametrize("first", [RuntimeError("source down"), np.ones((4, 2))],
+                             ids=["raising", "wrong-width"])
+    def test_first_batch_checked_under_default_schedule(self, first):
+        # an unset eta0 is sized from batch (1, 1, 1) before any round runs
+        class Source:
+            batch_size = 4
+            dim = 3
+
+            def batch(self, worker, rnd, step):
+                if isinstance(first, Exception):
+                    raise first
+                return first
+
+        with pytest.raises(StreamError, match="worker 1, round 1, step 1"):
+            stochastic_parallel_deflation(Source(), 1, 2, 1, StepSchedule(), seed=1)
+
     def test_pure_hebb_direction_with_no_peers(self, rng):
         # one worker, one step: the update direction is exactly Y'Y v
         y = rng.standard_normal((6, 4))

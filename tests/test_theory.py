@@ -52,6 +52,16 @@ class TestLambertW:
             w = lambert_w_m1(float(x))
             assert abs(w * math.exp(w) - x) <= 1e-12 * max(abs(x), 1e-300)
 
+    @pytest.mark.parametrize("x", [-math.exp(-1.0) + 10.0 ** -k
+                                   for k in np.linspace(1.0, 12.9, 24)]
+                             + [-(10.0 ** -e) for e in (13, 50, 100, 200, 300)])
+    def test_converges_at_domain_ends(self, x):
+        # the Halley loop must meet the docstring's residual promise next
+        # to the branch point and toward 0
+        w = lambert_w_m1(x)
+        assert w <= -1.0
+        assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
+
     def test_domain_errors(self):
         for bad in (-1.0, 0.0, 0.5):
             with pytest.raises(NumericalError):
