@@ -144,7 +144,8 @@ class EigenSystem:
     vectors: np.ndarray
 
     def __post_init__(self):
-        values = as_vector(self.values, "eigenvalues")
+        # as_vector may return the caller's own array; freeze a copy of it
+        values = as_vector(self.values, "eigenvalues").copy()
         vectors = as_matrix(self.vectors, "eigenvector matrix")
         if vectors.shape[0] != values.shape[0]:
             raise ConfigError("eigensystem shape mismatch")

@@ -4,6 +4,11 @@ Every random quantity in the package is drawn from a generator keyed by
 (seed, *path) through a SeedSequence, so per-worker and per-batch streams
 are independent: adding workers, rounds, or local steps never perturbs the
 streams of existing ones, and any stream can be replayed in isolation.
+Initial vectors are keyed per worker. Batch providers key their batches by
+(worker, round, step), but the streaming engine reads only worker 1's key
+at each (round, step): every worker reads that one shared batch, as in
+model-parallel EigenGame, which samples K times fewer rows per step than
+one batch per worker.
 """
 
 import numpy as np

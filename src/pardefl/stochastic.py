@@ -1,21 +1,27 @@
 """Streaming mini-batch parallel deflation with Hebb's rule.
 
-The covariance matrix never exists here. Each worker step pulls a fresh
-batch Y, estimates every peer's eigenvalue as ||Y v_peer||^2, forms the
-deflated matrix-vector product
+The covariance matrix never exists here. Each local step pulls one batch Y,
+read by every active worker, as the players of model-parallel EigenGame
+read one shared minibatch. For a block of worker rows X with peer prefix P
+the step estimates every peer's eigenvalue as lam_hat_j = ||Y p_j||^2 from
+one product Y P^T and forms the deflated matrix-vector products
 
-    g = Y^T (Y x) - sum_peers lam_hat * (v_peer . x) * v_peer
+    G = (X Y^T) Y - (M o lam_hat o (X P^T)) P
 
-in O((n + k) d) by `_deflated_matvec`, the core the public `deflated_matvec`
-runs after its checks, applies the normalized ascent update x <- (x + eta
-g)/||.|| (a zero or non-finite norm is a NumericalError) and broadcasts at
-the end of the round. No operation here allocates a d x d buffer.
+in O((n + m) d) per row, where M is the strictly lower-triangular peer mask
+(worker k uses peers j < k). Each row then takes the normalized ascent
+update x <- (x + eta G)/||.|| (a zero or non-finite norm is a
+NumericalError), and the block broadcasts at the end of the round. No
+operation here allocates a d x d buffer.
 
 Batch providers are pull-based and replayable: batch(worker, round, step)
-is a pure function of the provider seed and that index triple, so worker
-streams are independent and threaded execution cannot reorder consumption.
-Every batch, the one that sizes an unset eta0 included, goes through
-`_fetch_batch`: a failing source or a wrong shape is a StreamError.
+is a pure function of the provider seed and that index triple, so threaded
+execution cannot reorder consumption. The engine reads the batch keyed by
+worker 1 at each (round, step), so a step reads K times fewer samples than
+one batch per worker would; a run with more than `engine.BLOCK_ROWS` workers
+fetches that same batch once per row block. Every batch, the one that
+sizes an unset eta0 included, goes through `_fetch_batch`: a failing
+source or a wrong shape is a StreamError.
 """
 
 from dataclasses import dataclass
@@ -180,14 +186,6 @@ def batch_rayleigh(y, v) -> float:
     return _batch_rayleigh(ym, vv)
 
 
-def _deflated_matvec(y, peers, lams, x) -> np.ndarray:
-    """`deflated_matvec` on checked operands."""
-    g = y.T @ (y @ x)
-    for p, lam in zip(peers, lams):
-        g -= lam * float(p @ x) * p
-    return g
-
-
 def deflated_matvec(y, peers, lams, x) -> np.ndarray:
     """(Y^T Y - sum_j lams[j] p_j p_j^T) x without forming any d x d matrix.
 
@@ -203,15 +201,19 @@ def deflated_matvec(y, peers, lams, x) -> np.ndarray:
         raise ConfigError("one finite eigenvalue estimate is needed per deflation vector")
     if xv.shape[0] != d:
         raise ConfigError(f"dimension mismatch: {ym.shape} vs {xv.shape}")
-    return _deflated_matvec(ym, peers, lam, xv)
+    g = ym.T @ (ym @ xv)
+    for p, lam_j in zip(peers, lam):
+        g -= lam_j * float(p @ xv) * p
+    return g
 
 
 def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
                                   n_rounds: int, local_steps: int,
                                   schedule: StepSchedule, seed: int,
                                   mode: str = "serial") -> RunTrace:
-    """Streaming parallel deflation; deterministic given the seed. The schedule
-    is resolved as round 1 starts, after the driver has checked K, T and L."""
+    """Streaming parallel deflation, every worker reading one shared batch per
+    local step; deterministic given the seed. The schedule is resolved as
+    round 1 starts, after `run_round_synchronous` has checked K, T and L."""
     eta = None
 
     def update(rnd, prev):
@@ -220,21 +222,25 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
             eta = resolve_schedule(schedule, provider, n_rounds * local_steps, seed)
 
         def block(lo, hi):
-            rows = prev[lo:hi].copy()
-            for r in range(lo, hi):
-                peers = prev[:r]
-                for t in range(1, local_steps + 1):
-                    y = _fetch_batch(provider, r + 1, rnd, t)
-                    v = rows[r - lo]
-                    lams = [_batch_rayleigh(y, p) for p in peers]
-                    g = v + eta((rnd - 1) * local_steps + (t - 1)) * _deflated_matvec(
-                        y, peers, lams, v)
-                    nrm = float(np.sqrt(g @ g))
+            m = hi - 1  # peers of the block's last row
+            mask = np.tri(hi - lo, m, k=lo - 1)
+            peers = prev[:m]
+            x = prev[lo:hi]
+            for t in range(1, local_steps + 1):
+                y = _fetch_batch(provider, 1, rnd, t)
+                g = (x @ y.T) @ y
+                if m:
+                    yp = y @ peers.T
+                    lam = np.einsum("ij,ij->j", yp, yp)
+                    g -= (mask * lam * (x @ peers.T)) @ peers
+                g = x + eta((rnd - 1) * local_steps + (t - 1)) * g
+                norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+                for i, nrm in enumerate(norms.tolist()):
                     if not 1e-300 <= nrm < np.inf:
                         raise NumericalError(
-                            f"update collapsed at worker {r + 1}, round {rnd}, step {t}")
-                    rows[r - lo] = g / nrm
-            return rows
+                            f"update collapsed at worker {lo + i + 1}, round {rnd}, step {t}")
+                x = g / norms[:, None]
+            return x
         return block
 
     return run_round_synchronous(

@@ -145,6 +145,24 @@ class TestNonFiniteCollapse:
                 pd.FullBatchProvider(data), 2, 3, 1,
                 pd.StepSchedule(eta0=1e10, mode="constant"), seed=0)
 
+    def test_streaming_names_a_second_block_row(self):
+        # Zero batches keep every worker on its initial vector until round 9.
+        # Then one huge row orthogonal to workers 1..8 overflows worker 9 only,
+        # the first row of the second block of BLOCK_ROWS=8.
+        init = np.stack([pd.unit_init(0, k, 10) for k in range(1, 10)])
+        basis = np.linalg.svd(init[:8])[2][8:]
+        w = pd.normalize(basis.T @ (basis @ init[8]))
+
+        class Spike:
+            batch_size, dim = 2, 10
+
+            def batch(self, worker, rnd, step):
+                return np.vstack([1e80 * w if rnd >= 9 else np.zeros(10), np.zeros(10)])
+
+        with pytest.raises(NumericalError, match="update collapsed at worker 9, round 9, step 1"):
+            pd.stochastic_parallel_deflation(
+                Spike(), 10, 10, 1, pd.StepSchedule(eta0=1.0, mode="constant"), seed=0)
+
 
 class TestTop1FnOutputChecked:
     def test_non_unit_output_names_producer(self):

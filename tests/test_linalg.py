@@ -184,3 +184,11 @@ class TestEigenSystem:
         es = EigenSystem(values=np.array([2.0, 1.0]), vectors=np.eye(2))
         with pytest.raises(ValueError):
             es.values[0] = 5.0
+
+    def test_caller_arrays_stay_writeable(self):
+        vals, vecs = np.array([2.0, 1.0]), np.eye(2)
+        es = EigenSystem(vals, vecs)
+        assert vals.flags.writeable and vecs.flags.writeable
+        assert not es.values.flags.writeable and not es.vectors.flags.writeable
+        vals[0] = 5.0
+        assert es.values[0] == 2.0

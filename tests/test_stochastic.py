@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from pardefl import (ConfigError, FullBatchProvider, GaussianStreamProvider,
                      StreamError, Top1Config, attach_oracle, batch_rayleigh,
                      covariance, deflate, deflated_matvec, matvec, normalize,
                      parallel_deflation, reference_eigh,
-                     stochastic_parallel_deflation)
+                     stochastic_parallel_deflation, unit_init)
+from pardefl.engine import row_blocks
 from pardefl.metrics import gaussian_stream, random_covariance, spectrum_powerlaw
 from pardefl.stochastic import resolve_schedule
 
@@ -151,7 +154,6 @@ class TestStochasticEngine:
         eta = 0.01
         trace = stochastic_parallel_deflation(
             prov, 1, 3, 2, StepSchedule(eta0=eta, mode="constant"), seed=7)
-        from pardefl import unit_init
         v = unit_init(7, 1, 3)
         for rnd in (1, 2, 3):
             for t in (1, 2):
@@ -235,7 +237,79 @@ class TestStochasticEngine:
         eta = 1e-3
         trace = stochastic_parallel_deflation(
             prov, 1, 1, 1, StepSchedule(eta0=eta, mode="constant"), seed=3)
-        from pardefl import unit_init
         v0 = unit_init(3, 1, 4)
         expect = normalize(v0 + eta * (y.T @ (y @ v0)))
         assert np.max(np.abs(trace.vectors[0, 0] - expect)) <= 1e-12
+
+
+def per_row_reference(prov, n_workers, n_rounds, local_steps, seed):
+    """Round-synchronous streaming deflation one worker row and one peer at a
+    time, every worker reading the batch keyed by worker 1 at each step."""
+    eta = resolve_schedule(StepSchedule(), prov, n_rounds * local_steps, seed)
+    prev = np.stack([unit_init(seed, k, prov.dim) for k in range(1, n_workers + 1)])
+    out = []
+    for rnd in range(1, n_rounds + 1):
+        cur = prev.copy()
+        for r in range(min(rnd, n_workers)):
+            v = prev[r]
+            for t in range(1, local_steps + 1):
+                y = prov.batch(1, rnd, t)
+                lams = [batch_rayleigh(y, p) for p in prev[:r]]
+                g = deflated_matvec(y, prev[:r], lams, v)
+                v = normalize(v + eta((rnd - 1) * local_steps + (t - 1)) * g)
+            cur[r] = v
+        prev = cur
+        out.append(cur)
+    return np.stack(out)
+
+
+class TestSharedBatchRound:
+    # K=10 spans two row blocks of BLOCK_ROWS=8
+    K, L, T = 10, 14, 2
+
+    @pytest.fixture
+    def prov(self):
+        _, truth = random_covariance(spectrum_powerlaw(16), seed=14)
+        return gaussian_stream(truth, 32, seed=15)
+
+    def test_matches_per_row_reference(self, prov):
+        trace = stochastic_parallel_deflation(prov, self.K, self.L, self.T,
+                                              StepSchedule(), seed=15)
+        expect = per_row_reference(prov, self.K, self.L, self.T, seed=15)
+        assert np.max(np.abs(trace.vectors - expect)) <= 1e-12
+
+    def test_serial_thread_bitwise_two_blocks(self, prov):
+        a = stochastic_parallel_deflation(prov, self.K, self.L, self.T,
+                                          StepSchedule(), seed=15, mode="serial")
+        b = stochastic_parallel_deflation(prov, self.K, self.L, self.T,
+                                          StepSchedule(), seed=15, mode="thread")
+        assert np.array_equal(a.vectors, b.vectors)
+
+    class Counting:
+        batch_size = 8
+
+        def __init__(self, dim):
+            self.dim, self.keys = dim, []
+
+        def batch(self, worker, rnd, step):
+            self.keys.append((worker, rnd, step))
+            return np.random.default_rng([rnd, step]).standard_normal((8, self.dim))
+
+    def test_one_batch_per_step(self):
+        # L*T batches for the rounds plus the one that sizes the unset eta0
+        prov = self.Counting(6)
+        stochastic_parallel_deflation(prov, 5, 6, 2, StepSchedule(), seed=1)
+        assert len(prov.keys) == 6 * 2 + 1
+        assert all(worker == 1 for worker, _, _ in prov.keys)
+
+    def test_each_active_block_fetches_the_step_batch(self):
+        # K=10: one active row block up to round 8, two from round 9 on;
+        # every block re-fetches the same (pure) batch of a step
+        prov = self.Counting(12)
+        stochastic_parallel_deflation(prov, 10, 10, 2, StepSchedule(), seed=1)
+        counts = Counter(prov.keys)
+        assert set(counts) == {(1, rnd, t) for rnd in range(1, 11) for t in (1, 2)}
+        for (_, rnd, t), n in counts.items():
+            eta0_batch = (rnd, t) == (1, 1)
+            active = sum(lo < min(rnd, 10) for lo, _ in row_blocks(10))
+            assert n == active + eta0_batch
