@@ -22,8 +22,19 @@ one batch per worker would; a run with more than `engine.BLOCK_ROWS` workers
 fetches that same batch once per row block. Every batch, the one that
 sizes an unset eta0 included, goes through `_fetch_batch`: a failing
 source or a wrong shape is a StreamError.
+
+The first row block draws its step batches ahead of the update: up to
+`PREFETCH_WINDOW` keys are in flight on at most `PREFETCH_THREADS` helper
+threads, which the run starts and joins itself, and are consumed in key
+order. So `batch` may be called ahead of its step and concurrently, from a
+helper thread, in serial and thread mode alike; it must be a pure,
+thread-safe function of its key. A batch's error surfaces only when its
+step is reached, so an earlier step's NumericalError still wins.
 """
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -34,13 +45,21 @@ from .errors import ConfigError, NumericalError, StreamError
 from .linalg import as_matrix, as_vector, peer_stack
 from .seeding import ETA_STREAM, rng_for
 
+PREFETCH_WINDOW = 3  # step batches in flight while the first row block waits
+PREFETCH_THREADS = 2  # helper threads that draw them, never one per worker
+
 
 class BatchProvider(Protocol):
     batch_size: int
     dim: int
 
     def batch(self, worker: int, rnd: int, step: int) -> np.ndarray:
-        """Return the (batch_size, dim) batch for one (worker, round, step)."""
+        """Return the (batch_size, dim) batch for one (worker, round, step).
+
+        The engine may call this ahead of its step and concurrently, from a
+        helper thread, in either mode, so it must be a pure, thread-safe
+        function of the key.
+        """
         ...
 
 
@@ -142,6 +161,28 @@ def _fetch_batch(provider, worker: int, rnd: int, step: int) -> np.ndarray:
     return y
 
 
+def _prefetch(provider, n_rounds: int, local_steps: int):
+    """Yield the checked batches (1, rnd, t), rnd 1..L, t 1..T, in key order.
+
+    Before waiting on the head batch it submits the next key, so
+    PREFETCH_WINDOW batches are in flight on a pool of at most
+    PREFETCH_THREADS threads; closing the generator cancels what is queued
+    and joins the pool.
+    """
+    pool = ThreadPoolExecutor(max_workers=min(PREFETCH_THREADS, os.cpu_count() or 1))
+    try:
+        ahead = deque()
+        for rnd in range(1, n_rounds + 1):
+            for t in range(1, local_steps + 1):
+                ahead.append(pool.submit(_fetch_batch, provider, 1, rnd, t))
+                if len(ahead) == PREFETCH_WINDOW:
+                    yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _batch_rayleigh(y, v) -> float:
     """||Y v||^2 on validated float64 operands."""
     yv = y @ v
@@ -213,8 +254,11 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
                                   mode: str = "serial") -> RunTrace:
     """Streaming parallel deflation, every worker reading one shared batch per
     local step; deterministic given the seed. The schedule is resolved as
-    round 1 starts, after `run_round_synchronous` has checked K, T and L."""
+    round 1 starts, after `run_round_synchronous` has checked K, T and L.
+    The first row block reads its batches from `_prefetch`; no helper thread
+    outlives the call, whether it returns or raises."""
     eta = None
+    batches = _prefetch(provider, n_rounds, local_steps)
 
     def update(rnd, prev):
         nonlocal eta
@@ -227,7 +271,7 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
             peers = prev[:m]
             x = prev[lo:hi]
             for t in range(1, local_steps + 1):
-                y = _fetch_batch(provider, 1, rnd, t)
+                y = next(batches) if lo == 0 else _fetch_batch(provider, 1, rnd, t)
                 g = (x @ y.T) @ y
                 if m:
                     yp = y @ peers.T
@@ -243,7 +287,10 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
             return x
         return block
 
-    return run_round_synchronous(
-        dim=provider.dim, n_workers=n_components, n_rounds=n_rounds, seed=seed,
-        update=update, algorithm="stochastic_parallel_deflation",
-        local_steps=local_steps, mode=mode)
+    try:
+        return run_round_synchronous(
+            dim=provider.dim, n_workers=n_components, n_rounds=n_rounds, seed=seed,
+            update=update, algorithm="stochastic_parallel_deflation",
+            local_steps=local_steps, mode=mode)
+    finally:
+        batches.close()

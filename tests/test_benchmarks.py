@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,7 +25,14 @@ def test_streaming_script_records_a_tiny_run(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "REPEATS", 2)
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"before": {"kept": True}}))
-    bench.main(["--label", "smoke", "--out", str(out)])
+    # batch is timed on the engine's helper threads: switch threads often,
+    # so an unlocked count may lose updates
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        bench.main(["--label", "smoke", "--out", str(out)])
+    finally:
+        sys.setswitchinterval(interval)
     results = json.loads(out.read_text())
     assert results["before"] == {"kept": True}
     (shape,) = results["smoke"]["shapes"]
@@ -32,6 +40,8 @@ def test_streaming_script_records_a_tiny_run(tmp_path, monkeypatch):
     assert len(shape["runs"]) == 4
     # one shared batch per (round, step) plus the one that sizes eta0
     assert shape["batches_per_run"] == 4 * 2 + 1
+    assert set(shape["median"]) == {"wall_s", "provider_s"}
     for run in shape["runs"]:
         assert run["batches"] == 9 and len(run["final_errors"]) == 3
-        assert 0.0 <= run["provider_s"] <= run["wall_s"]
+        # summed over helper threads, so it may exceed the wall time
+        assert run["provider_s"] > 0.0 and "update_s" not in run

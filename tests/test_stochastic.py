@@ -1,3 +1,5 @@
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -11,7 +13,7 @@ from pardefl import (ConfigError, FullBatchProvider, GaussianStreamProvider,
                      stochastic_parallel_deflation, unit_init)
 from pardefl.engine import row_blocks
 from pardefl.metrics import gaussian_stream, random_covariance, spectrum_powerlaw
-from pardefl.stochastic import resolve_schedule
+from pardefl.stochastic import PREFETCH_THREADS, resolve_schedule
 
 
 class TestBatchRayleigh:
@@ -313,3 +315,89 @@ class TestSharedBatchRound:
             eta0_batch = (rnd, t) == (1, 1)
             active = sum(lo < min(rnd, 10) for lo, _ in row_blocks(10))
             assert n == active + eta0_batch
+
+
+class Jittered(GaussianStreamProvider):
+    """A Gaussian stream whose batch first sleeps a key-derived 0-2 ms, so
+    batches drawn ahead finish out of key order."""
+
+    def batch(self, worker, rnd, step):
+        time.sleep((7 * rnd + 13 * step) % 5 * 5e-4)
+        return super().batch(worker, rnd, step)
+
+
+class Faulty:
+    """A pure source of fixed batches: an inf batch at `inf_at`, an error at
+    `raise_at`, both (round, step) keys."""
+
+    batch_size, dim = 4, 3
+
+    def __init__(self, inf_at=None, raise_at=None):
+        self.inf_at, self.raise_at = inf_at, raise_at
+
+    def batch(self, worker, rnd, step):
+        if (rnd, step) == self.raise_at:
+            raise RuntimeError("source down")
+        if (rnd, step) == self.inf_at:
+            time.sleep(0.02)  # let the batch after it fail first
+            return np.full((4, 3), np.inf)
+        return np.eye(4, 3) + 0.1 * (rnd + step)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestPrefetch:
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("k", [5, 10])
+    def test_out_of_order_batches_give_the_same_trace(self, k, mode):
+        _, truth = random_covariance(spectrum_powerlaw(16), seed=14)
+        values, vectors = truth.values, truth.vectors
+        plain = stochastic_parallel_deflation(
+            GaussianStreamProvider(values, vectors, 16, seed=3), k, 12, 2,
+            StepSchedule(), seed=3, mode=mode)
+        jittered = stochastic_parallel_deflation(
+            Jittered(values, vectors, 16, seed=3), k, 12, 2,
+            StepSchedule(), seed=3, mode=mode)
+        assert np.array_equal(plain.vectors, jittered.vectors)
+
+    def test_update_error_before_a_prefetched_stream_error(self):
+        with pytest.raises(NumericalError,
+                           match=r"^update collapsed at worker 1, round 3, step 1$"):
+            stochastic_parallel_deflation(Faulty(inf_at=(3, 1), raise_at=(3, 2)),
+                                          2, 4, 2, StepSchedule(eta0=0.1), seed=1)
+
+    def test_stream_error_names_its_key(self):
+        with pytest.raises(StreamError, match=r"^batch source failed at worker 1, "
+                                              r"round 3, step 2: source down$"):
+            stochastic_parallel_deflation(Faulty(raise_at=(3, 2)), 2, 4, 2,
+                                          StepSchedule(eta0=0.1), seed=1)
+
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("source, error", [
+        (Faulty(), None),
+        (Faulty(raise_at=(3, 2)), StreamError),
+        (Faulty(inf_at=(3, 1)), NumericalError)], ids=["done", "stream", "numerical"])
+    def test_no_thread_outlives_a_run(self, source, error, mode):
+        before = threading.active_count()
+        if error is None:
+            stochastic_parallel_deflation(source, 2, 6, 2, StepSchedule(eta0=0.1),
+                                          seed=1, mode=mode)
+        else:
+            # `info` keeps the traceback, and with it the run's frames, alive
+            # while the count is taken
+            with pytest.raises(error) as info:
+                stochastic_parallel_deflation(source, 2, 6, 2, StepSchedule(eta0=0.1),
+                                              seed=1, mode=mode)
+        assert threading.active_count() == before
+
+    def test_serial_run_uses_at_most_the_helper_threads(self):
+        before = threading.active_count()
+        seen = []
+
+        class Watching(Faulty):
+            def batch(self, worker, rnd, step):
+                seen.append(threading.active_count())
+                return super().batch(worker, rnd, step)
+
+        stochastic_parallel_deflation(Watching(), 3, 20, 2, StepSchedule(eta0=0.1),
+                                      seed=1)
+        assert max(seen) <= before + PREFETCH_THREADS
