@@ -247,24 +247,32 @@ def run_trial(cfg: ExperimentConfig, problem: _Problem, trial: int) -> RunTrace:
 
 
 def _trial_csv(trace: RunTrace, metric: np.ndarray, trial: int) -> str:
-    n_workers, steps = trace.n_workers, trace.local_steps
-    # every float is formatted once; a round's rows share one prefix
-    metric_text = list(map(repr, metric.tolist()))
-    errors = ([""] * (trace.n_rounds * n_workers) if trace.errors is None
-              else list(map(repr, trace.errors.ravel().tolist())))
-    lines = [TRIAL_HEADER]
-    for l, value in enumerate(metric_text):
-        prefix = f"{trial},{trace.algorithm},{steps},{l + 1},{steps * (l + 1)},"
-        row_errors = errors[l * n_workers:(l + 1) * n_workers]
-        lines += [f"{prefix}{k},{err},{value}" for k, err in enumerate(row_errors, 1)]
-    return "\n".join(lines) + "\n"
+    """The trial CSV text: TRIAL_HEADER, then one row per round and worker.
+
+    Each round is formatted into one string as it comes and the rounds are
+    joined once, so the call holds little more than twice its output.
+    """
+    steps = trace.local_steps
+    workers = [f"{k}," for k in range(1, trace.n_workers + 1)]
+    pieces = [TRIAL_HEADER]
+    for l, value in enumerate(metric.tolist()):
+        head = f"{trial},{trace.algorithm},{steps},{l + 1},{steps * (l + 1)},"
+        tail = f",{value!r}"
+        # a round's rows differ only in their "worker,error" cells
+        cells = (workers if trace.errors is None
+                 else map(str.__add__, workers, map(repr, trace.errors[l].tolist())))
+        pieces.append(head + (tail + "\n" + head).join(cells) + tail)
+    pieces.append("")  # the trailing newline
+    return "\n".join(pieces)
 
 
 def _aggregate_rows(cfg: ExperimentConfig, stack: np.ndarray) -> list[str]:
     """Per-round mean/min/max over the trials of one config (AGGREGATE_HEADER)."""
+    by_round = np.ascontiguousarray(stack.T)
+    columns = (by_round.mean(axis=1), by_round.min(axis=1), by_round.max(axis=1))
     return [f"{cfg.algorithm},{cfg.T},{l + 1},{cfg.T * (l + 1)},"
-            f"{float(np.mean(col))!r},{float(np.min(col))!r},{float(np.max(col))!r}"
-            for l, col in enumerate(stack.T)]
+            f"{mean!r},{low!r},{high!r}"
+            for l, (mean, low, high) in enumerate(zip(*(c.tolist() for c in columns)))]
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

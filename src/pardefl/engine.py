@@ -41,6 +41,7 @@ from .seeding import unit_init
 
 MODES = ("serial", "thread")
 BLOCK_ROWS = 8  # worker rows per block; fixed so every mode issues the same calls
+ORACLE_PIECE_BYTES = 1 << 18  # scratch of one `attach_oracle` piece of rounds
 
 
 @dataclass(frozen=True)
@@ -242,26 +243,38 @@ def attach_oracle(trace: RunTrace, truth: EigenSystem,
                   min_rel_gap: float = 1e-8) -> RunTrace:
     """Fill per-round recovery errors min over sign of ||v_{k,l} -+ u_k||.
 
+    The distances are computed as np.linalg.norm computes them, a piece of
+    rounds at a time through one scratch buffer of about
+    `ORACLE_PIECE_BYTES` (at least one round), so the call allocates the
+    (L, K) result plus a fixed amount, not a second (L, K, d) array. Every
+    operation is elementwise or reduces along d, so the errors are those of
+    the whole-array computation, bit for bit.
+
     Marks the trace unreliable when the leading part of the oracle spectrum
     has (near-)repeated eigenvalues, since per-index comparisons are then
     ill-posed.
     """
-    k = trace.n_workers
+    n_rounds, k, dim = trace.vectors.shape
     if k > truth.vectors.shape[0]:
         raise ConfigError(
             f"trace has {k} workers but the oracle only holds {truth.vectors.shape[0]} vectors")
-    if truth.dim != trace.dim:
+    if truth.dim != dim:
         raise ConfigError(
-            f"dimension mismatch: trace d={trace.dim}, oracle d={truth.dim}")
+            f"dimension mismatch: trace d={dim}, oracle d={truth.dim}")
     top = truth.vectors[:k]
-    # ||v -+ u|| as np.linalg.norm computes it, through one (L, K, d) buffer
-    buf = np.empty(trace.vectors.shape)
-    dists = []
-    for op in (np.subtract, np.add):
-        op(trace.vectors, top, out=buf)
-        np.multiply(buf, buf, out=buf)
-        dists.append(np.sqrt(np.add.reduce(buf, axis=2)))
-    errors = np.minimum(*dists)
+    piece = max(1, ORACLE_PIECE_BYTES // (8 * max(1, k * dim)))
+    buf = np.empty((min(piece, n_rounds), k, dim))
+    plus_buf = np.empty((min(piece, n_rounds), k))
+    errors = np.empty((n_rounds, k))
+    for lo in range(0, n_rounds, piece):
+        hi = min(lo + piece, n_rounds)
+        scratch, minus, plus = buf[: hi - lo], errors[lo:hi], plus_buf[: hi - lo]
+        for op, dist in ((np.subtract, minus), (np.add, plus)):
+            op(trace.vectors[lo:hi], top, out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+            np.add.reduce(scratch, axis=2, out=dist)
+            np.sqrt(dist, out=dist)
+        np.minimum(minus, plus, out=minus)
     errors.setflags(write=False)
 
     lead = truth.values[: min(k + 1, truth.values.shape[0])]

@@ -17,10 +17,14 @@ from .errors import DataFormatError
 PDM1_MAGIC = b"PDM1"
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the chunks (bytes-like objects) in order to a temp file, then
+    rename it over `path`."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)
 
 
@@ -29,25 +33,40 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def save_pdm1(path, array) -> None:
-    a = np.ascontiguousarray(array, dtype=np.float64)
+    """Write a 2-d array as PDM1: the header, then the payload straight from
+    a contiguous little-endian float64 view (a copy only when the array is
+    not one already)."""
+    a = np.ascontiguousarray(array, dtype="<f8")
     if a.ndim != 2:
         raise DataFormatError(f"PDM1 stores 2-d matrices, got ndim={a.ndim}")
     header = PDM1_MAGIC + struct.pack("<QQ", a.shape[0], a.shape[1])
-    atomic_write_bytes(path, header + a.astype("<f8").tobytes(order="C"))
+    atomic_write_bytes(path, header, a.reshape(-1).view(np.uint8))
 
 
 def load_pdm1(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 20 or raw[:4] != PDM1_MAGIC:
-        raise DataFormatError(f"{path}: not a PDM1 file")
-    rows, cols = struct.unpack("<QQ", raw[4:20])
-    expected = 20 + rows * cols * 8
-    if len(raw) != expected:
-        raise DataFormatError(
-            f"{path}: payload size {len(raw)} does not match header "
-            f"({rows} x {cols} needs {expected})")
-    data = np.frombuffer(raw, dtype="<f8", offset=20)
-    return data.astype(np.float64).reshape(rows, cols)
+    """Read a PDM1 file into a new (rows, cols) float64 array.
+
+    The header's size is checked against the file's before anything is
+    allocated, and the payload is read straight into the result, so the
+    call allocates the result and no copy of the file's bytes.
+    """
+    with open(path, "rb") as fh:
+        header = fh.read(20)
+        if len(header) < 20 or header[:4] != PDM1_MAGIC:
+            raise DataFormatError(f"{path}: not a PDM1 file")
+        rows, cols = struct.unpack("<QQ", header[4:])
+        expected = 20 + rows * cols * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise DataFormatError(
+                f"{path}: payload size {size} does not match header "
+                f"({rows} x {cols} needs {expected})")
+        data = np.empty((rows, cols), dtype="<f8")
+        got = fh.readinto(data.reshape(-1).view(np.uint8))
+        if got != data.nbytes:
+            raise DataFormatError(
+                f"{path}: payload ended after {20 + got} of {expected} bytes")
+    return data.astype(np.float64, copy=False)
 
 
 def load_csv_matrix(path) -> np.ndarray:

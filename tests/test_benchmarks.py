@@ -45,3 +45,33 @@ def test_streaming_script_records_a_tiny_run(tmp_path, monkeypatch):
         assert run["batches"] == 9 and len(run["final_errors"]) == 3
         # summed over helper threads, so it may exceed the wall time
         assert run["provider_s"] > 0.0 and "update_s" not in run
+
+
+def test_memory_script_records_a_tiny_run(tmp_path, monkeypatch):
+    from pardefl import cli, engine
+
+    bench = load_script("memory", monkeypatch)
+    monkeypatch.setattr(bench, "SHAPES", (
+        ("tiny-dense", "parallel_deflation", 8, 2, 4, 1, None, None),
+        ("tiny-stream", "stochastic_parallel_deflation", 6, 2, 3, 2, 8, None),
+        ("tiny-data", "eigengame_mu", 6, 2, 3, 2, None, 40),
+    ))
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"before": {"kept": True}}))
+    bench.main(["--label", "smoke", "--out", str(out)])
+    results = json.loads(out.read_text())
+    assert results["before"] == {"kept": True}
+    shapes = {s["name"]: s for s in results["smoke"]["shapes"]}
+    assert list(shapes) == ["tiny-dense", "tiny-stream", "tiny-data"]
+    common = {"sigma", "engine", "metric", "trial_csv", "write", "aggregate"}
+    assert set(shapes["tiny-dense"]["phases"]) == common | {"oracle"}
+    assert set(shapes["tiny-stream"]["phases"]) == common | {"oracle"}
+    assert set(shapes["tiny-data"]["phases"]) == common
+    assert shapes["tiny-dense"]["trace_mb"] == 4 * 2 * 8 * 8 / 1e6
+    assert shapes["tiny-data"]["data_mb"] == 40 * 6 * 8 / 1e6
+    for s in shapes.values():
+        for phase in s["phases"].values():
+            assert 0 < phase["own_mb"] <= phase["peak_mb"] <= s["run_peak_mb"]
+    # the phase wrappers are gone once the script returns
+    assert cli.attach_oracle is engine.attach_oracle
+    assert cli._Problem.metric_series.__name__ == "metric_series"

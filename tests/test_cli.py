@@ -293,6 +293,21 @@ class TestTrialCsv:
         assert _trial_csv(trace, metric, 0) == reference_trial_csv(trace, metric, 0)
 
 
+def reference_aggregate_rows(cfg, stack):
+    """Per-round reductions: the reference for `_aggregate_rows`."""
+    return [f"{cfg.algorithm},{cfg.T},{l + 1},{cfg.T * (l + 1)},"
+            f"{float(np.mean(col))!r},{float(np.min(col))!r},{float(np.max(col))!r}"
+            for l, col in enumerate(stack.T)]
+
+
+@pytest.mark.parametrize("trials", [1, 3, 9, 17])
+def test_aggregate_rows_match_per_round_reductions(trials):
+    # magnitudes over several decades, so a changed summation order shows
+    stack = np.random.default_rng(trials).lognormal(sigma=3.0, size=(trials, 60))
+    cfg = small_cfg(T=2, L=60)
+    assert cli._aggregate_rows(cfg, stack) == reference_aggregate_rows(cfg, stack)
+
+
 class TestComparison:
     def test_merged_keys(self, tmp_path):
         cfgs = [small_cfg(T=1, L=8, out=str(tmp_path / "t1")),

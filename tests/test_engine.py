@@ -1,15 +1,16 @@
 """The batched dense round against a per-worker reference, its error
-messages, the run-shape checks and the bounded thread pool of
-`run_round_synchronous`."""
+messages, the run-shape checks, the bounded thread pool of
+`run_round_synchronous` and the pieced `attach_oracle` against the
+whole-array distances."""
 
 import os
 
 import numpy as np
 import pytest
 
-from pardefl import (ConfigError, NumericalError, StepSchedule, Top1Config,
-                     deflate, eigengame_alpha_grad, eigengame_mu_grad, normalize,
-                     parallel_deflation, run_eigengame,
+from pardefl import (ConfigError, EigenSystem, NumericalError, StepSchedule,
+                     Top1Config, deflate, eigengame_alpha_grad,
+                     eigengame_mu_grad, normalize, parallel_deflation, run_eigengame,
                      stochastic_parallel_deflation, top1, unit_init)
 from pardefl import engine
 from pardefl.metrics import gaussian_stream, random_covariance
@@ -144,3 +145,50 @@ def test_row_blocks_depend_only_on_k():
     blocks = engine.row_blocks(2 * engine.BLOCK_ROWS + 3)
     assert [hi - lo for lo, hi in blocks] == [engine.BLOCK_ROWS, engine.BLOCK_ROWS, 3]
     assert blocks[0][0] == 0 and all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+
+
+def _oracle(d, seed=0):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return EigenSystem(values=np.linspace(2.0, 0.1, d), vectors=q.T)
+
+
+class TestAttachOraclePieces:
+    """`attach_oracle` scores a piece of rounds at a time; every piece
+    boundary must give the whole-array distances bit for bit."""
+
+    D = 64
+
+    @staticmethod
+    def piece(k, d):
+        return max(1, engine.ORACLE_PIECE_BYTES // (8 * k * d))
+
+    def check(self, k, d, n_rounds):
+        truth = _oracle(d)
+        vectors = np.random.default_rng(n_rounds).standard_normal((n_rounds, k, d))
+        trace = engine.RunTrace(algorithm="parallel_deflation", local_steps=1,
+                                seed=0, vectors=vectors)
+        errors = engine.attach_oracle(trace, truth).errors
+        top = truth.vectors[:k]
+        expect = np.minimum(np.linalg.norm(vectors - top, axis=2),
+                            np.linalg.norm(vectors + top, axis=2))
+        assert errors.shape == (n_rounds, k) and not errors.flags.writeable
+        assert errors.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_around_a_piece_boundary(self, offset):
+        k = 4
+        self.check(k, self.D, self.piece(k, self.D) + offset)
+
+    def test_one_round_and_several_pieces(self):
+        k = 4
+        self.check(k, self.D, 1)
+        self.check(k, self.D, 3 * self.piece(k, self.D) + 5)
+
+    def test_one_worker(self):
+        self.check(1, self.D, self.piece(1, self.D) + 1)
+
+    def test_round_over_the_budget_is_one_piece(self, monkeypatch):
+        k = 3
+        monkeypatch.setattr(engine, "ORACLE_PIECE_BYTES", 8 * k * self.D - 8)
+        assert self.piece(k, self.D) == 1
+        self.check(k, self.D, 5)

@@ -1,3 +1,8 @@
+import os
+import struct
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -34,6 +39,36 @@ def test_pdm1_truncated(tmp_path):
     save_pdm1(path, np.ones((2, 2)))
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(DataFormatError):
+        load_pdm1(path)
+
+
+def test_pdm1_header_over_file_size_rejected_before_allocating(tmp_path):
+    path = tmp_path / "m.pdm1"
+    save_pdm1(path, np.ones((1000, 100)))
+    raw = path.read_bytes()
+    # one row more than the 800 kB payload holds
+    path.write_bytes(raw[:4] + struct.pack("<QQ", 1001, 100) + raw[20:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="does not match header"):
+            load_pdm1(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, f"{peak} bytes allocated before the size check"
+
+
+def test_pdm1_short_read_rejected(tmp_path, monkeypatch):
+    path = tmp_path / "m.pdm1"
+    save_pdm1(path, np.ones((3, 2)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<QQ", 7, 1) + raw[20:])
+    # the size check sees one more value than the read then finds, as when
+    # the file shrinks in between
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+        st_size=real_fstat(fd).st_size + 8))
+    with pytest.raises(DataFormatError, match="payload ended after 68 of 76 bytes"):
         load_pdm1(path)
 
 
