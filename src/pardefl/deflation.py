@@ -12,12 +12,10 @@ then warm-starts its local solver at its own previous output. The two
 procedures coincide when the inputs to the rank-1 terms are exact
 eigenvectors.
 
-The engine never builds Sigma_{k,l}. One batched update
-(`engine.dense_round_update`) applies it matrix-free to a block of worker
-rows, G = X Sigma - (M o (X V^T)) V with the peer mask M scaled by
-lambda_j = v_j^T Sigma v_j, so a local step costs a few GEMMs and no d x d
-buffer. Only `top1_fn` validation runs hand each worker its deflated matrix,
-built by `_deflate`, the unchecked core of `deflate`.
+The engine never builds Sigma_{k,l}: `engine.dense_round_update` applies it
+matrix-free to a block of worker rows, a few GEMMs per local step. Only
+`top1_fn` validation runs hand each worker its deflated matrix, built by
+`_deflate`, the unchecked core of `deflate`.
 """
 
 import numpy as np

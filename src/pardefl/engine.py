@@ -13,17 +13,17 @@ maps the same blocks onto at most min(n_blocks, cpu count) threads. Serial
 mode, thread mode and `deflation.replay_round` therefore issue the same
 calls on the same operands and produce bitwise identical rounds.
 
-`dense_round_update` is the one update of the three dense engines. For a
-block of worker rows X it computes, per local step and without any d x d
-allocation,
+`block_steps` runs the local steps of a block of worker rows X for every
+round-synchronous engine. Per step, without any d x d allocation, it forms
 
-    G = X Sigma - (M o (X A^T)) B,
+    G = X Op - (W o (X A^T)) B,
 
-where M is the strictly lower-triangular peer mask (worker k uses peers
-j < k) scaled per column, and A, B and the column scale come once per round
-from the snapshot: parallel deflation uses A = B = V with scale
-diag(V Sigma V^T), EigenGame-mu A = V Sigma, B = V with scale 1, and
-EigenGame-alpha A = B = V Sigma with scale 1 / diag(V Sigma V^T).
+where W is the strictly lower-triangular peer mask (worker k uses peers
+j < k) scaled per column. `dense_round_update`, the one update of the three
+dense engines, uses Op = Sigma with A, B and the scale taken once per round
+from the snapshot V: parallel deflation A = B = V, scale diag(V Sigma V^T);
+EigenGame-mu A = V Sigma, B = V, scale 1; EigenGame-alpha A = B = V Sigma,
+scale 1 / diag(V Sigma V^T). The streaming engine uses Op = Y^T Y per batch.
 """
 
 import csv
@@ -177,21 +177,40 @@ def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
                     vectors=out, variant=variant)
 
 
+def block_steps(x, lo, rnd, steps, terms, eta=None) -> np.ndarray:
+    """Run `steps` local steps on the block of worker rows x, from row lo, in round rnd.
+
+    `terms(t, X)` gives step t's X Op, peer weights W (None without peers)
+    and peers A, B. A row x goes to G/||G|| if eta is None (power iteration),
+    else to (x + eta(t) G)/||.||; a zero or non-finite norm is a NumericalError.
+    """
+    for t in range(1, steps + 1):
+        x_op, weights, a, b = terms(t, x)
+        g = x_op if weights is None else x_op - (weights * (x @ a.T)) @ b
+        if eta is not None:
+            g = x + eta(t) * g
+        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+        for i, nrm in enumerate(norms.tolist()):
+            if not 1e-300 <= nrm < np.inf:
+                raise NumericalError(f"worker {lo + i + 1}, round {rnd}, step {t}: "
+                                     "update collapsed to zero or non-finite")
+        x = g / norms[:, None]
+    return x
+
+
 def dense_round_update(sigma: np.ndarray, penalty: str, *, steps: int,
                        eta: float | None = None, align: bool = False):
     """The round update of the three dense engines, for `next_round`.
 
-    penalty "deflation", "mu" or "alpha" picks A, B and the column scale of
-    G = X Sigma - (M o (X A^T)) B (module docstring). Each of the `steps`
-    local steps maps every row x of a block to G/||G|| when eta is None
-    (power iteration) and to (x + eta G)/||.|| otherwise (Hebb's rule and
-    EigenGame ascent); a zero or non-finite norm is a NumericalError. With
-    `align` each result row is then flipped to a non-negative inner product
-    with its warm start. `sigma` must be checked and exactly symmetric; no
-    d x d array is allocated.
+    penalty "deflation", "mu" or "alpha" picks A, B and the column scale
+    (module docstring) of the `steps` local steps of `block_steps`: power
+    steps if eta is None, else ascent steps of size eta (Hebb, EigenGame).
+    With `align` each row is then flipped to a non-negative inner product
+    with its warm start. `sigma` must be checked and exactly symmetric.
     """
     if penalty not in ("deflation", "mu", "alpha"):
         raise ConfigError(f"unknown dense penalty {penalty!r}")
+    step_size = None if eta is None else (lambda t: eta)
 
     def update(rnd, prev):
         n_active = min(rnd, prev.shape[0])
@@ -215,21 +234,12 @@ def dense_round_update(sigma: np.ndarray, penalty: str, *, steps: int,
 
         def block(lo, hi):
             m = hi - 1  # peers of the block's last row
-            weights = np.tri(hi - lo, m, k=lo - 1) * scale[:m]
-            x, xs = prev[lo:hi], v_sigma[lo:hi]
-            for step in range(steps):
-                if step:
-                    xs = x @ sigma
-                g = xs - (weights * (x @ a[:m].T)) @ b[:m] if m else xs
-                if eta is not None:
-                    g = x + eta * g
-                norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-                for i, nrm in enumerate(norms.tolist()):
-                    if not 1e-300 <= nrm < np.inf:
-                        raise NumericalError(
-                            f"worker {lo + i + 1}, round {rnd}: "
-                            "update collapsed to zero or non-finite")
-                x = g / norms[:, None]
+            weights = np.tri(hi - lo, m, k=lo - 1) * scale[:m] if m else None
+
+            def terms(t, x):
+                return (v_sigma[lo:hi] if t == 1 else x @ sigma), weights, a[:m], b[:m]
+
+            x = block_steps(prev[lo:hi], lo, rnd, steps, terms, step_size)
             if align:
                 x[np.einsum("ij,ij->i", x, prev[lo:hi]) < 0.0] *= -1.0
             return x

@@ -44,7 +44,8 @@ def save_pdm1(path, array) -> None:
 
 
 def load_pdm1(path) -> np.ndarray:
-    """Read a PDM1 file into a new (rows, cols) float64 array.
+    """Read a PDM1 file into a new (rows, cols) float64 array; a header with
+    no rows or no columns is a DataFormatError, as an empty CSV is.
 
     The header's size is checked against the file's before anything is
     allocated, and the payload is read straight into the result, so the
@@ -55,6 +56,8 @@ def load_pdm1(path) -> np.ndarray:
         if len(header) < 20 or header[:4] != PDM1_MAGIC:
             raise DataFormatError(f"{path}: not a PDM1 file")
         rows, cols = struct.unpack("<QQ", header[4:])
+        if rows == 0 or cols == 0:
+            raise DataFormatError(f"{path}: empty PDM1 matrix ({rows} x {cols})")
         expected = 20 + rows * cols * 8
         size = os.fstat(fh.fileno()).st_size
         if size != expected:

@@ -2,17 +2,12 @@
 
 The covariance matrix never exists here. Each local step pulls one batch Y,
 read by every active worker, as the players of model-parallel EigenGame
-read one shared minibatch. For a block of worker rows X with peer prefix P
-the step estimates every peer's eigenvalue as lam_hat_j = ||Y p_j||^2 from
-one product Y P^T and forms the deflated matrix-vector products
-
-    G = (X Y^T) Y - (M o lam_hat o (X P^T)) P
-
-in O((n + m) d) per row, where M is the strictly lower-triangular peer mask
-(worker k uses peers j < k). Each row then takes the normalized ascent
-update x <- (x + eta G)/||.|| (a zero or non-finite norm is a
-NumericalError), and the block broadcasts at the end of the round. No
-operation here allocates a d x d buffer.
+read one shared minibatch. A block of worker rows X with peer prefix P runs
+the engine's block step (`engine.block_steps`) with the batch operator:
+X Op = (X Y^T) Y, A = B = P, and each peer's eigenvalue estimated as
+lam_hat_j = ||Y p_j||^2 from one product Y P^T, at the scheduled step size.
+A step costs O((n + m) d) per row and allocates no d x d buffer; the block
+broadcasts at the end of the round.
 
 Batch providers are pull-based and replayable: batch(worker, round, step)
 is a pure function of the provider seed and that index triple, so threaded
@@ -40,7 +35,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .engine import RunTrace, run_round_synchronous
+from .engine import RunTrace, block_steps, run_round_synchronous
 from .errors import ConfigError, NumericalError, StreamError
 from .linalg import as_matrix, as_vector, peer_stack
 from .seeding import ETA_STREAM, rng_for
@@ -81,6 +76,8 @@ class GaussianStreamProvider:
             raise NumericalError("covariance factor is not positive semidefinite")
         if batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         self.batch_size = int(batch_size)
         self.dim = vectors.shape[1]
         self.seed = int(seed)
@@ -99,6 +96,8 @@ class MatrixRowProvider:
         self._data = as_matrix(data, "data matrix")
         if batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         self.batch_size = int(batch_size)
         self.dim = self._data.shape[1]
         self.seed = int(seed)
@@ -113,7 +112,8 @@ class FullBatchProvider:
     """Returns the whole dataset as every batch (full-batch reduction)."""
 
     def __init__(self, data):
-        self._data = as_matrix(data, "data matrix")
+        # as_matrix may return the caller's own array; freeze a copy of it
+        self._data = as_matrix(data, "data matrix").copy()
         self._data.setflags(write=False)
         self.batch_size = self._data.shape[0]
         self.dim = self._data.shape[1]
@@ -257,34 +257,26 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
     round 1 starts, after `run_round_synchronous` has checked K, T and L.
     The first row block reads its batches from `_prefetch`; no helper thread
     outlives the call, whether it returns or raises."""
-    eta = None
+    eta_at = None
     batches = _prefetch(provider, n_rounds, local_steps)
 
     def update(rnd, prev):
-        nonlocal eta
-        if eta is None:
-            eta = resolve_schedule(schedule, provider, n_rounds * local_steps, seed)
+        nonlocal eta_at
+        if eta_at is None:
+            eta_at = resolve_schedule(schedule, provider, n_rounds * local_steps, seed)
 
         def block(lo, hi):
             m = hi - 1  # peers of the block's last row
-            mask = np.tri(hi - lo, m, k=lo - 1)
-            peers = prev[:m]
-            x = prev[lo:hi]
-            for t in range(1, local_steps + 1):
+            mask, peers = np.tri(hi - lo, m, k=lo - 1), prev[:m]
+
+            def terms(t, x):
                 y = next(batches) if lo == 0 else _fetch_batch(provider, 1, rnd, t)
-                g = (x @ y.T) @ y
-                if m:
-                    yp = y @ peers.T
-                    lam = np.einsum("ij,ij->j", yp, yp)
-                    g -= (mask * lam * (x @ peers.T)) @ peers
-                g = x + eta((rnd - 1) * local_steps + (t - 1)) * g
-                norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-                for i, nrm in enumerate(norms.tolist()):
-                    if not 1e-300 <= nrm < np.inf:
-                        raise NumericalError(
-                            f"update collapsed at worker {lo + i + 1}, round {rnd}, step {t}")
-                x = g / norms[:, None]
-            return x
+                yp = y @ peers.T
+                weights = mask * np.einsum("ij,ij->j", yp, yp) if m else None
+                return (x @ y.T) @ y, weights, peers, peers
+
+            return block_steps(prev[lo:hi], lo, rnd, local_steps, terms,
+                               lambda t: eta_at((rnd - 1) * local_steps + (t - 1)))
         return block
 
     try:

@@ -94,7 +94,7 @@ def cascade_rates(factors) -> np.ndarray:
     return m
 
 
-def phase_start_rounds(rates, spectrum, c0: float = 3.0) -> np.ndarray:
+def phase_start_rounds(rates, spectrum) -> np.ndarray:
     """Start rounds of the linear convergence phase, one per worker.
 
     s_1 = 1 and, writing L(m) = log(1/m),
@@ -108,8 +108,7 @@ def phase_start_rounds(rates, spectrum, c0: float = 3.0) -> np.ndarray:
     The spectrum must be strictly decreasing, positive, and normalized to a
     unit top eigenvalue; it needs at least K+1 entries for K workers. The
     last worker's own rate only enters its error envelope, never a start
-    round. c0 is carried for reporting; the printed constant 12k is used
-    as is.
+    round. The printed constant 12k is used as is.
     """
     m = np.asarray(rates, dtype=np.float64).reshape(-1)
     lam = np.asarray(spectrum, dtype=np.float64).reshape(-1)
@@ -127,8 +126,6 @@ def phase_start_rounds(rates, spectrum, c0: float = 3.0) -> np.ndarray:
     if np.any(lam <= 0.0) or np.any(np.diff(lam) >= 0.0):
         raise DegenerateSpectrumError(
             "spectrum must be strictly decreasing and positive")
-    if not c0 > 1.0:
-        raise ConfigError(f"c0 must exceed 1, got {c0!r}")
 
     s = np.ones(n_workers, dtype=np.int64)
     for k in range(1, n_workers):   # each pass fixes s_{k+1} from workers <= k
@@ -147,12 +144,11 @@ def phase_start_rounds(rates, spectrum, c0: float = 3.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvergenceSchedule:
-    """Rates and phase-start rounds {F_k, m_k, s_k} plus the bound constant."""
+    """Rates and phase-start rounds {F_k, m_k, s_k}."""
 
     F: np.ndarray
     m: np.ndarray
     s: np.ndarray
-    c0: float = 3.0
 
     def __post_init__(self):
         F = np.asarray(self.F, dtype=np.float64).reshape(-1)
@@ -183,7 +179,7 @@ class ConvergenceSchedule:
 
 
 def schedule_for_run(sigma, truth: EigenSystem, n_components: int,
-                     local_steps: int, c0: float = 3.0) -> ConvergenceSchedule:
+                     local_steps: int) -> ConvergenceSchedule:
     """Build the schedule for a power-iteration run on a known covariance.
 
     F_k is the contraction of the local solver on the ideal k-th deflated
@@ -208,8 +204,8 @@ def schedule_for_run(sigma, truth: EigenSystem, n_components: int,
     if scale <= 0.0:
         raise DegenerateSpectrumError("top eigenvalue must be positive")
     lam = truth.values[: n_components + 2] / scale
-    s = phase_start_rounds(m, lam[: n_components + 1], c0)
-    return ConvergenceSchedule(F=factors, m=m, s=s, c0=c0)
+    s = phase_start_rounds(m, lam[: n_components + 1])
+    return ConvergenceSchedule(F=factors, m=m, s=s)
 
 
 @dataclass(frozen=True)

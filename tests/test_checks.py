@@ -130,7 +130,8 @@ class TestNonFiniteCollapse:
 
     @pytest.mark.parametrize("variant", ["mu", "alpha"])
     def test_eigengame(self, variant):
-        with pytest.raises(NumericalError, match="worker 1, round 1: update collapsed"):
+        with pytest.raises(NumericalError,
+                           match="worker 1, round 1, step 1: update collapsed"):
             pd.run_eigengame(variant, 1e300 * SIGMA, 2, 3, 1, eta=1e308)
 
     def test_parallel_deflation_hebb(self):
@@ -140,7 +141,8 @@ class TestNonFiniteCollapse:
 
     def test_streaming(self):
         data = 1e152 * np.arange(1.0, 13.0).reshape(3, 4)
-        with pytest.raises(NumericalError, match="update collapsed at worker 1, round 1"):
+        with pytest.raises(NumericalError,
+                           match="worker 1, round 1, step 1: update collapsed"):
             pd.stochastic_parallel_deflation(
                 pd.FullBatchProvider(data), 2, 3, 1,
                 pd.StepSchedule(eta0=1e10, mode="constant"), seed=0)
@@ -159,9 +161,39 @@ class TestNonFiniteCollapse:
             def batch(self, worker, rnd, step):
                 return np.vstack([1e80 * w if rnd >= 9 else np.zeros(10), np.zeros(10)])
 
-        with pytest.raises(NumericalError, match="update collapsed at worker 9, round 9, step 1"):
+        with pytest.raises(NumericalError,
+                           match="worker 9, round 9, step 1: update collapsed"):
             pd.stochastic_parallel_deflation(
                 Spike(), 10, 10, 1, pd.StepSchedule(eta0=1.0, mode="constant"), seed=0)
+
+    @staticmethod
+    def _overflow_at_step_two(engine):
+        if engine == "streaming":
+            # the second step's batch is huge, so its update's norm overflows
+            class Burst:
+                batch_size, dim = 2, 4
+
+                def batch(self, worker, rnd, step):
+                    return (1e80 if step == 2 else 1.0) * np.eye(2, 4)
+
+            return pd.stochastic_parallel_deflation(
+                Burst(), 1, 1, 3, pd.StepSchedule(eta0=1.0, mode="constant"), seed=0)
+        # Sigma = u u^T with u nearly orthogonal to worker 1's start: the first
+        # ascent step turns the row onto u with a finite norm, the second overflows
+        x0 = pd.unit_init(0, 1, 4)
+        w = pd.normalize(np.eye(4)[0] - x0[0] * x0)
+        u = 1e-10 * x0 + np.sqrt(1.0 - 1e-20) * w
+        sigma = np.outer(u, u)
+        if engine == "hebb":
+            return pd.parallel_deflation(
+                sigma, 1, 1, pd.Top1Config(method="hebb", eta=1e160, steps=3), seed=0)
+        return pd.run_eigengame(engine, sigma, 1, 1, 3, eta=1e160, seed=0)
+
+    @pytest.mark.parametrize("engine", ["hebb", "mu", "alpha", "streaming"])
+    def test_a_later_step_is_named(self, engine):
+        with pytest.raises(NumericalError, match=r"^worker 1, round 1, step 2: update "
+                                                 r"collapsed to zero or non-finite$"):
+            self._overflow_at_step_two(engine)
 
 
 class TestTop1FnOutputChecked:

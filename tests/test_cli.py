@@ -439,6 +439,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")])
         assert code == 4
 
+    def test_empty_pdm1_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "z.pdm1"
+        save_pdm1(path, np.empty((0, 3)))
+        code = main(["run", "--algorithm", "parallel_deflation", "--data",
+                     str(path), "--K", "1", "--L", "2",
+                     "--out", str(tmp_path / "x")])
+        assert code == 4
+        assert "empty PDM1 matrix" in capsys.readouterr().err
+
     def test_nan_csv_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
         path.write_text("1.0,2.0\nnan,0.5\n3.0,1.0\n")

@@ -85,7 +85,7 @@ def test_alpha_unused_peer_not_checked():
 
 def test_collapsed_update_named():
     # x + 0.5 (-2 x) is exactly zero
-    with pytest.raises(NumericalError, match="worker 1, round 1: update collapsed to zero"):
+    with pytest.raises(NumericalError, match="worker 1, round 1, step 1: update collapsed to zero"):
         run_eigengame("mu", -2.0 * np.eye(3), 1, 1, 1, eta=0.5, seed=0)
 
 

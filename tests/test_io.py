@@ -72,6 +72,15 @@ def test_pdm1_short_read_rejected(tmp_path, monkeypatch):
         load_pdm1(path)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_pdm1_empty_matrix_rejected(tmp_path, shape):
+    path = tmp_path / "z.pdm1"
+    save_pdm1(path, np.empty(shape))
+    with pytest.raises(DataFormatError,
+                       match=rf"empty PDM1 matrix \({shape[0]} x {shape[1]}\)"):
+        load_pdm1(path)
+
+
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1.5,2\n3,-4.25\n")

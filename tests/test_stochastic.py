@@ -112,6 +112,22 @@ class TestProviders:
         assert np.array_equal(prov.batch(1, 1, 1), data)
         assert np.array_equal(prov.batch(3, 9, 2), data)
 
+    def test_full_batch_leaves_the_callers_array_writeable(self):
+        data = np.arange(12.0).reshape(3, 4)
+        prov = FullBatchProvider(data)
+        assert data.flags.writeable
+        data[0, 0] = 99.0
+        assert prov.batch(1, 1, 1)[0, 0] == 0.0
+        assert not prov.batch(1, 1, 1).flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: MatrixRowProvider(np.ones((3, 2)), 2, seed=seed),
+        lambda seed: GaussianStreamProvider([1.0, 0.5], np.eye(2), 2, seed=seed),
+    ], ids=["rows", "gaussian"])
+    def test_negative_seed_rejected_at_construction(self, make):
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            make(-1)
+
 
 class TestStepSchedule:
     def test_validation(self):
@@ -361,7 +377,8 @@ class TestPrefetch:
 
     def test_update_error_before_a_prefetched_stream_error(self):
         with pytest.raises(NumericalError,
-                           match=r"^update collapsed at worker 1, round 3, step 1$"):
+                           match=r"^worker 1, round 3, step 1: "
+                                 r"update collapsed to zero or non-finite$"):
             stochastic_parallel_deflation(Faulty(inf_at=(3, 1), raise_at=(3, 2)),
                                           2, 4, 2, StepSchedule(eta0=0.1), seed=1)
 

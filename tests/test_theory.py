@@ -209,7 +209,7 @@ class TestCheckBound:
         sigma, truth = self._problem()
         trace = attach_oracle(parallel_deflation(sigma, 1, 30, Top1Config(steps=1),
                                                  seed=5), truth)
-        harsh = ConvergenceSchedule(F=[1e-6], m=[1e-6], s=[1], c0=3.0)
+        harsh = ConvergenceSchedule(F=[1e-6], m=[1e-6], s=[1])
         report = check_bound(trace, harsh, atol=0.0)
         assert report.n_violations > 0
 
