@@ -9,8 +9,8 @@ Each shape is one `cli.run_experiment` call (one trial, serial mode, seed
 the module for the call, as perfbench does, and each is a phase:
 
     sigma      random_covariance, or load_matrix and covariance for a file
-    engine     the algorithm's engine call
-    oracle     attach_oracle (synthetic sources only)
+    engine     the algorithm's engine call; on a synthetic source it also
+               scores each round's oracle distances as the round ends
     metric     _Problem.metric_series
     trial_csv  _trial_csv
     write      atomic_write_text (trial and aggregate files)
@@ -20,7 +20,8 @@ A phase's `peak_mb` is the highest traced memory while it ran: what the
 run already held plus the phase's own scratch. `own_mb` is that peak less
 what was traced when the phase began. `run_peak_mb` is the peak over the
 whole call, gaps between phases included. `trace_mb` is the size of the
-(L, K, d) trace and `data_mb` that of the data file's matrix, for scale.
+(L, K, d) trace, which only a run on a data file keeps, and `data_mb` that
+of the data file's matrix, for scale.
 Peaks are counts of bytes numpy and Python allocate, so they repeat from
 run to run; one run per shape is recorded.
 
@@ -60,7 +61,7 @@ SEED = 5
 PHASES = {
     "random_covariance": "sigma", "load_matrix": "sigma", "covariance": "sigma",
     "parallel_deflation": "engine", "stochastic_parallel_deflation": "engine",
-    "run_eigengame": "engine", "attach_oracle": "oracle",
+    "run_eigengame": "engine",
     "_trial_csv": "trial_csv", "atomic_write_text": "write",
     "_aggregate_rows": "aggregate",
 }

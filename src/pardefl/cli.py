@@ -28,14 +28,16 @@ import numpy as np
 
 from .deflation import parallel_deflation, sequential_deflation
 from .eigengame import run_eigengame
-from .engine import MODES, RunTrace, attach_oracle
+from .engine import MODES, OracleScorer, RunTrace, StoredRounds
 from .errors import ConfigError, PardeflError
 from .io import atomic_write_text, load_matrix
 from .linalg import covariance
 from .metrics import (discounted_rayleigh, gaussian_stream, random_covariance,
                       spectrum_expdecay, spectrum_powerlaw)
-# Not called here (the synthetic metric reads `attach_oracle`'s distances),
-# but perfbench/run.py wraps it by name on this module.
+# Not called here (a synthetic run is scored round by round by its
+# `OracleScorer`, and the metric reads those distances), but perfbench/run.py
+# wraps both names on this module.
+from .engine import attach_oracle  # noqa: F401
 from .metrics import recovery_error  # noqa: F401
 from .seeding import unit_init
 from .solvers import POWER_ITERATION, Top1Config
@@ -190,34 +192,48 @@ class _Problem:
             return gaussian_stream(self.truth, self.cfg.batch_size, trial_seed)
         return MatrixRowProvider(self.data, self.cfg.batch_size, trial_seed)
 
+    def scorer(self, n_rounds: int) -> OracleScorer | None:
+        """The round sink of a run of `n_rounds` rounds.
+
+        Synthetic sources score each round as it is made and keep no
+        vectors. Data sources keep the whole trace (None): scored round by
+        round from Sigma, the discounted Rayleigh metric is not bitwise
+        equal to its one pass over the trace.
+        """
+        if self.truth is None:
+            return None
+        return OracleScorer(self.truth, n_rounds, self.cfg.K)
+
     def metric_series(self, trace: RunTrace) -> np.ndarray:
         """The per-round metric of a trace, scored in one pass.
 
-        Synthetic sources: the RMS over workers of the oracle distances
-        `attach_oracle` stored, i.e. each round's `recovery_error`. Data
-        sources: the discounted Rayleigh score, from Sigma / n when a dense
-        engine has built Sigma = Y^T Y, else from the data rows.
+        Synthetic sources: the RMS over workers of the trace's oracle
+        distances, i.e. each round's `recovery_error`. Data sources: the
+        discounted Rayleigh score of the stored rounds, from Sigma / n when
+        a dense engine has built Sigma = Y^T Y, else from the data rows.
         """
         if self.truth is not None:
             return np.sqrt(np.mean(trace.errors ** 2, axis=1))
         if self._sigma is not None:
-            return discounted_rayleigh(trace.vectors,
+            return discounted_rayleigh(trace.round_vectors(),
                                        sigma=self._sigma / self.data.shape[0])
-        return discounted_rayleigh(trace.vectors, data=self.data)
+        return discounted_rayleigh(trace.round_vectors(), data=self.data)
 
 
-def _sequential_trace(cfg: ExperimentConfig, sigma, trial_seed: int) -> RunTrace:
-    """Present a sequential run as K rounds, one component completed per round."""
+def _sequential_trace(cfg: ExperimentConfig, sigma, trial_seed: int,
+                      on_round=None) -> RunTrace:
+    """Present a sequential run as K rounds, one component completed per
+    round, fed to the round sink `on_round` as the engines feed theirs."""
     final = sequential_deflation(sigma, cfg.K, cfg._top1_config(), trial_seed)
     dim = sigma.shape[0]
-    inits = np.stack([unit_init(trial_seed, k, dim) for k in range(1, cfg.K + 1)])
-    vectors = np.empty((cfg.K, cfg.K, dim))
+    snapshot = np.stack([unit_init(trial_seed, k, dim) for k in range(1, cfg.K + 1)])
+    sink = StoredRounds(cfg.K, cfg.K, dim) if on_round is None else on_round
     for rnd in range(1, cfg.K + 1):
-        vectors[rnd - 1, :rnd] = final[:rnd]
-        vectors[rnd - 1, rnd:] = inits[rnd:]
-    vectors.setflags(write=False)
+        snapshot[rnd - 1] = final[rnd - 1]
+        sink(rnd, snapshot)
+    snapshot.setflags(write=False)
     return RunTrace(algorithm="sequential_deflation", local_steps=cfg.T,
-                    seed=trial_seed, vectors=vectors)
+                    seed=trial_seed, **sink.finish(snapshot))
 
 
 def _require_rounds(cfg: ExperimentConfig) -> None:
@@ -226,24 +242,24 @@ def _require_rounds(cfg: ExperimentConfig) -> None:
 
 
 def run_trial(cfg: ExperimentConfig, problem: _Problem, trial: int) -> RunTrace:
+    """One trial's trace, scored as it runs on a synthetic source
+    (`_Problem.scorer`), so it then holds errors, not per-round vectors."""
     trial_seed = cfg.seed + trial
     algo = cfg.algorithm
+    if algo == "sequential_deflation":
+        return _sequential_trace(cfg, problem.sigma, trial_seed,
+                                 on_round=problem.scorer(cfg.K))
+    sink = problem.scorer(cfg.L)
     if algo == "parallel_deflation":
-        trace = parallel_deflation(problem.sigma, cfg.K, cfg.L,
-                                   cfg._top1_config(), trial_seed, mode=cfg.mode)
-    elif algo == "sequential_deflation":
-        trace = _sequential_trace(cfg, problem.sigma, trial_seed)
-    elif algo == "stochastic_parallel_deflation":
-        trace = stochastic_parallel_deflation(problem.provider(trial_seed), cfg.K,
-                                              cfg.L, cfg.T, cfg._step_schedule(),
-                                              trial_seed, mode=cfg.mode)
-    else:
-        variant = "alpha" if algo.endswith("alpha") else "mu"
-        trace = run_eigengame(variant, problem.sigma, cfg.K, cfg.L, cfg.T,
-                              eta=cfg.eta, seed=trial_seed, mode=cfg.mode)
-    if problem.truth is not None:
-        trace = attach_oracle(trace, problem.truth)
-    return trace
+        return parallel_deflation(problem.sigma, cfg.K, cfg.L, cfg._top1_config(),
+                                  trial_seed, mode=cfg.mode, on_round=sink)
+    if algo == "stochastic_parallel_deflation":
+        return stochastic_parallel_deflation(problem.provider(trial_seed), cfg.K,
+                                             cfg.L, cfg.T, cfg._step_schedule(),
+                                             trial_seed, mode=cfg.mode, on_round=sink)
+    variant = "alpha" if algo.endswith("alpha") else "mu"
+    return run_eigengame(variant, problem.sigma, cfg.K, cfg.L, cfg.T, eta=cfg.eta,
+                         seed=trial_seed, mode=cfg.mode, on_round=sink)
 
 
 def _trial_csv(trace: RunTrace, metric: np.ndarray, trial: int) -> str:
@@ -353,9 +369,8 @@ def run_theory_report(cfg: ExperimentConfig, extra_rounds: int = 50) -> dict:
     schedule = schedule_for_run(problem.sigma, problem.truth, cfg.K, cfg.T)
     n_rounds = cfg.L if cfg.L is not None else int(schedule.s[-1]) + extra_rounds
     n_rounds = max(n_rounds, cfg.K)
-    trace = parallel_deflation(problem.sigma, cfg.K, n_rounds,
-                               cfg._top1_config(), cfg.seed, mode=cfg.mode)
-    trace = attach_oracle(trace, problem.truth)
+    trace = parallel_deflation(problem.sigma, cfg.K, n_rounds, cfg._top1_config(),
+                               cfg.seed, mode=cfg.mode, on_round=problem.scorer(n_rounds))
     report = check_bound(trace, schedule)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -91,20 +91,21 @@ def _round_update(sigma, cfg: Top1Config, top1_fn=None):
 
 def parallel_deflation(sigma, n_components: int, n_rounds: int,
                        cfg: Top1Config, seed: int, mode: str = "serial",
-                       top1_fn=None) -> RunTrace:
+                       top1_fn=None, on_round=None) -> RunTrace:
     """Round-synchronous parallel deflation.
 
     top1_fn optionally replaces the configured solver with any callable
     (deflated_matrix, warm_start) -> vector, e.g. `solvers.exact_top1` for
     oracle-exact validation runs. Deterministic given the seed; `mode` picks
     serial or threaded execution of the per-round worker updates, with
-    bitwise identical results.
+    bitwise identical results. `on_round` is the round sink of
+    `engine.run_round_synchronous`.
     """
     sm = sym_matrix(sigma)
     return run_round_synchronous(
         dim=sm.shape[0], n_workers=n_components, n_rounds=n_rounds, seed=seed,
         update=_round_update(sm, cfg, top1_fn), algorithm="parallel_deflation",
-        local_steps=cfg.steps, mode=mode)
+        local_steps=cfg.steps, mode=mode, on_round=on_round)
 
 
 def replay_round(sigma, trace: RunTrace, rnd: int, cfg: Top1Config,
@@ -112,9 +113,11 @@ def replay_round(sigma, trace: RunTrace, rnd: int, cfg: Top1Config,
     """Recompute round `rnd` (>= 2) of a parallel-deflation trace.
 
     Uses only the previous round's broadcast snapshot from the trace, so a
-    replay must reproduce the recorded round bitwise.
+    replay must reproduce the recorded round bitwise. A trace scored as it
+    ran holds no snapshots and is refused.
     """
+    vectors = trace.round_vectors()
     if not 2 <= rnd <= trace.n_rounds:
         raise ConfigError(f"can only replay rounds 2..{trace.n_rounds}, got {rnd}")
     return next_round(_round_update(sym_matrix(sigma), cfg, top1_fn), rnd,
-                      trace.vectors[rnd - 2])
+                      vectors[rnd - 2])

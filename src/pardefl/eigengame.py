@@ -76,8 +76,10 @@ def default_eigengame_eta(sigma, seed: int) -> float:
 
 def run_eigengame(variant: EigenGameVariant, sigma, n_components: int,
                   n_rounds: int, local_steps: int, eta: float | None = None,
-                  seed: int = 0, mode: str = "serial") -> RunTrace:
-    """Round-synchronous EigenGame run; deterministic given the seed."""
+                  seed: int = 0, mode: str = "serial", on_round=None) -> RunTrace:
+    """Round-synchronous EigenGame run; deterministic given the seed.
+
+    `on_round` is the round sink of `engine.run_round_synchronous`."""
     if variant not in ("alpha", "mu"):
         raise ConfigError(f"unknown EigenGame variant {variant!r}")
     sm = sym_matrix(sigma)
@@ -89,4 +91,4 @@ def run_eigengame(variant: EigenGameVariant, sigma, n_components: int,
         dim=sm.shape[0], n_workers=n_components, n_rounds=n_rounds, seed=seed,
         update=dense_round_update(sm, variant, steps=local_steps, eta=eta),
         algorithm=f"eigengame_{variant}",
-        local_steps=local_steps, variant=variant, mode=mode)
+        local_steps=local_steps, variant=variant, mode=mode, on_round=on_round)

@@ -11,7 +11,10 @@ of that immutable snapshot.
 the engine's update for the new vectors of every active block; thread mode
 maps the same blocks onto at most min(n_blocks, cpu count) threads. Serial
 mode, thread mode and `deflation.replay_round` therefore issue the same
-calls on the same operands and produce bitwise identical rounds.
+calls on the same operands and produce bitwise identical rounds. Each
+round's broadcast then goes to a round sink: `StoredRounds`, the default,
+keeps the (L, K, d) trace; `OracleScorer` keeps only the round's (K,)
+recovery errors, so a scored run holds O(Kd) per round, not the trace.
 
 `block_steps` runs the local steps of a block of worker rows X for every
 round-synchronous engine. Per step, without any d x d allocation, it forms
@@ -41,7 +44,6 @@ from .seeding import unit_init
 
 MODES = ("serial", "thread")
 BLOCK_ROWS = 8  # worker rows per block; fixed so every mode issues the same calls
-ORACLE_PIECE_BYTES = 1 << 18  # scratch of one `attach_oracle` piece of rounds
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,12 @@ class WorkerState:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-round log of all broadcast worker vectors for one run.
+    """Per-round log of one run: every broadcast, or its scores only.
 
     vectors has shape (L, K, d): vectors[l-1, k-1] is worker k's broadcast
-    after round l. errors (same leading shape) holds sign-invariant
+    after round l. A run scored as it went (`OracleScorer`) keeps no vectors,
+    only final_vectors, the (K, d) broadcast after round L, which otherwise
+    defaults to vectors[-1]. errors (shape (L, K)) holds sign-invariant
     distances to an attached ground-truth eigensystem, or None before
     `attach_oracle`. oracle_reliable is cleared when the attached truth has
     (near-)repeated leading eigenvalues, in which case per-worker errors are
@@ -73,26 +77,38 @@ class RunTrace:
     algorithm: str
     local_steps: int
     seed: int
-    vectors: np.ndarray
+    vectors: np.ndarray | None = None
     errors: np.ndarray | None = None
     variant: str | None = None
     oracle_reliable: bool = True
+    final_vectors: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.final_vectors is None:
+            if self.vectors is None:
+                raise ConfigError("a trace needs its per-round vectors or its final ones")
+            object.__setattr__(self, "final_vectors", self.vectors[-1])
+        if self.vectors is None and self.errors is None:
+            raise ConfigError("a trace without per-round vectors needs its errors")
 
     @property
     def n_rounds(self) -> int:
-        return self.vectors.shape[0]
+        return (self.errors if self.vectors is None else self.vectors).shape[0]
 
     @property
     def n_workers(self) -> int:
-        return self.vectors.shape[1]
+        return self.final_vectors.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[2]
+        return self.final_vectors.shape[1]
 
-    @property
-    def final_vectors(self) -> np.ndarray:
-        return self.vectors[-1]
+    def round_vectors(self) -> np.ndarray:
+        """The (L, K, d) broadcasts; a ConfigError on a trace scored as it ran."""
+        if self.vectors is None:
+            raise ConfigError("this trace was scored as it ran and keeps no "
+                              "per-round vectors; rerun without a round sink")
+        return self.vectors
 
     def active(self) -> np.ndarray:
         """Boolean (L, K) activation mask: worker k is active from round k on."""
@@ -102,13 +118,76 @@ class RunTrace:
 
     def worker_state(self, k: int, rnd: int) -> WorkerState:
         """Reconstruct worker k's state after round rnd (both 1-based)."""
+        vectors = self.round_vectors()
         if not 1 <= k <= self.n_workers:
             raise ConfigError(f"worker index must lie in [1, {self.n_workers}]")
         if not 1 <= rnd <= self.n_rounds:
             raise ConfigError(f"round must lie in [1, {self.n_rounds}]")
         return WorkerState(index=k, v_init=unit_init(self.seed, k, self.dim),
-                           v_current=self.vectors[rnd - 1, k - 1],
+                           v_current=vectors[rnd - 1, k - 1],
                            rounds_active=max(0, rnd - k + 1))
+
+
+class StoredRounds:
+    """The default round sink: keeps every broadcast in one (L, K, d) array."""
+
+    def __init__(self, n_rounds: int, n_workers: int, dim: int):
+        self.vectors = np.empty((n_rounds, n_workers, dim))
+
+    def __call__(self, rnd: int, snapshot: np.ndarray) -> None:
+        self.vectors[rnd - 1] = snapshot
+
+    def finish(self, final: np.ndarray) -> dict:
+        """The `RunTrace` fields this sink fills."""
+        self.vectors.setflags(write=False)
+        return {"vectors": self.vectors}
+
+
+class OracleScorer:
+    """Round sink that scores each broadcast as it is made and keeps no vectors.
+
+    Round l's errors are min over sign of ||v_{k,l} -+ u_k||, computed as
+    np.linalg.norm computes them, in five numpy calls per round: v - u and
+    v + u into one (2, K, d) scratch buffer, squared in place, summed along
+    d, and the smaller sum kept. `finish` takes the square roots of all
+    rounds at once; sqrt is monotone, so the root of the minimum is the
+    minimum of the roots. Every operation is elementwise or reduces along
+    d, so the errors equal those of a whole-trace computation, bit for bit.
+    The trace is marked unreliable when the leading part of the oracle
+    spectrum has (near-)repeated eigenvalues, since per-index comparisons
+    are then ill-posed.
+    """
+
+    def __init__(self, truth: EigenSystem, n_rounds: int, n_workers: int,
+                 min_rel_gap: float = 1e-8):
+        if n_workers > truth.vectors.shape[0]:
+            raise ConfigError(f"trace has {n_workers} workers but the oracle only "
+                              f"holds {truth.vectors.shape[0]} vectors")
+        self._top = truth.vectors[:n_workers]
+        self._scratch = np.empty((2, n_workers, truth.dim))
+        self._squares = np.empty((2, n_workers))
+        self.errors = np.empty((n_rounds, n_workers))
+        lead = truth.values[: min(n_workers + 1, truth.values.shape[0])]
+        scale = max(float(np.max(np.abs(lead))), 1e-300)
+        self.reliable = bool(np.all(np.diff(lead) < -min_rel_gap * scale))
+
+    def __call__(self, rnd: int, snapshot: np.ndarray) -> None:
+        scratch, squares = self._scratch, self._squares
+        if snapshot.shape != scratch.shape[1:]:
+            raise ConfigError(f"dimension mismatch: broadcast {snapshot.shape}, "
+                              f"oracle {scratch.shape[1:]}")
+        np.subtract(snapshot, self._top, out=scratch[0])
+        np.add(snapshot, self._top, out=scratch[1])
+        np.multiply(scratch, scratch, out=scratch)
+        np.add.reduce(scratch, axis=2, out=squares)
+        np.minimum(squares[0], squares[1], out=self.errors[rnd - 1])
+
+    def finish(self, final: np.ndarray) -> dict:
+        """The `RunTrace` fields this sink fills; call it once, after the last round."""
+        np.sqrt(self.errors, out=self.errors)
+        self.errors.setflags(write=False)
+        return {"final_vectors": final, "errors": self.errors,
+                "oracle_reliable": self.reliable}
 
 
 def row_blocks(n_workers: int) -> list[tuple[int, int]]:
@@ -137,7 +216,7 @@ def next_round(update, rnd: int, prev: np.ndarray, map_fn=map) -> np.ndarray:
 
 def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
                           algorithm, local_steps, variant=None,
-                          mode="serial") -> RunTrace:
+                          mode="serial", on_round=None) -> RunTrace:
     """Drive `update(round, snapshot) -> block(lo, hi)` across all rounds.
 
     `snapshot` is the read-only (K, d) broadcast state of the previous round
@@ -145,6 +224,11 @@ def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
     mode runs the active row blocks of a round on at most
     min(n_blocks, cpu count) threads. It checks the run's shape for every
     round-synchronous engine: 1 <= K <= d, T >= 1 and L >= K.
+
+    `on_round(rnd, broadcast)` receives each round's read-only broadcast
+    once the round ends, and its `finish(final)` gives the trace's fields
+    (`StoredRounds`, the default, or `OracleScorer`). It runs on the calling
+    thread, in round order, in either mode.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown engine mode {mode!r}")
@@ -158,7 +242,7 @@ def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
     prev = np.stack([unit_init(seed, k, dim) for k in range(1, n_workers + 1)])
     prev.setflags(write=False)
 
-    out = np.empty((n_rounds, n_workers, dim))
+    sink = StoredRounds(n_rounds, n_workers, dim) if on_round is None else on_round
     pool = None
     if mode == "thread":
         pool = ThreadPoolExecutor(
@@ -168,13 +252,12 @@ def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
             prev = next_round(update, rnd, prev,
                               map if pool is None else pool.map)
             prev.setflags(write=False)
-            out[rnd - 1] = prev
+            sink(rnd, prev)
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
-    out.setflags(write=False)
     return RunTrace(algorithm=algorithm, local_steps=local_steps, seed=seed,
-                    vectors=out, variant=variant)
+                    variant=variant, **sink.finish(prev))
 
 
 def block_steps(x, lo, rnd, steps, terms, eta=None) -> np.ndarray:
@@ -253,44 +336,15 @@ def attach_oracle(trace: RunTrace, truth: EigenSystem,
                   min_rel_gap: float = 1e-8) -> RunTrace:
     """Fill per-round recovery errors min over sign of ||v_{k,l} -+ u_k||.
 
-    The distances are computed as np.linalg.norm computes them, a piece of
-    rounds at a time through one scratch buffer of about
-    `ORACLE_PIECE_BYTES` (at least one round), so the call allocates the
-    (L, K) result plus a fixed amount, not a second (L, K, d) array. Every
-    operation is elementwise or reduces along d, so the errors are those of
-    the whole-array computation, bit for bit.
-
-    Marks the trace unreliable when the leading part of the oracle spectrum
-    has (near-)repeated eigenvalues, since per-index comparisons are then
-    ill-posed.
+    Runs an `OracleScorer` over the stored rounds, so the call allocates the
+    (L, K) result plus one round's scratch, and its errors are bitwise those
+    of a run scored as it went.
     """
-    n_rounds, k, dim = trace.vectors.shape
-    if k > truth.vectors.shape[0]:
-        raise ConfigError(
-            f"trace has {k} workers but the oracle only holds {truth.vectors.shape[0]} vectors")
-    if truth.dim != dim:
-        raise ConfigError(
-            f"dimension mismatch: trace d={dim}, oracle d={truth.dim}")
-    top = truth.vectors[:k]
-    piece = max(1, ORACLE_PIECE_BYTES // (8 * max(1, k * dim)))
-    buf = np.empty((min(piece, n_rounds), k, dim))
-    plus_buf = np.empty((min(piece, n_rounds), k))
-    errors = np.empty((n_rounds, k))
-    for lo in range(0, n_rounds, piece):
-        hi = min(lo + piece, n_rounds)
-        scratch, minus, plus = buf[: hi - lo], errors[lo:hi], plus_buf[: hi - lo]
-        for op, dist in ((np.subtract, minus), (np.add, plus)):
-            op(trace.vectors[lo:hi], top, out=scratch)
-            np.multiply(scratch, scratch, out=scratch)
-            np.add.reduce(scratch, axis=2, out=dist)
-            np.sqrt(dist, out=dist)
-        np.minimum(minus, plus, out=minus)
-    errors.setflags(write=False)
-
-    lead = truth.values[: min(k + 1, truth.values.shape[0])]
-    scale = max(float(np.max(np.abs(lead))), 1e-300)
-    reliable = bool(np.all(np.diff(lead) < -min_rel_gap * scale))
-    return replace(trace, errors=errors, oracle_reliable=reliable)
+    vectors = trace.round_vectors()
+    scorer = OracleScorer(truth, *vectors.shape[:2], min_rel_gap)
+    for rnd, snapshot in enumerate(vectors, 1):
+        scorer(rnd, snapshot)
+    return replace(trace, **scorer.finish(trace.final_vectors))
 
 
 def export_trace_csv(trace: RunTrace, path) -> None:

@@ -68,14 +68,21 @@ def peer_stack(peers, d: int, name: str = "peer vector", unit: bool = False) -> 
 
 
 def sym_matrix(entries) -> np.ndarray:
-    """Validate a square matrix as symmetric and return its symmetrized copy.
+    """Validate a square matrix as symmetric and return it exactly symmetric.
 
     Symmetry within 1e-12 relative tolerance is required; the result is
-    (A + A^T)/2 so later consumers can rely on exact symmetry.
+    (A + A^T)/2 so later consumers can rely on exact symmetry. A matrix
+    that is already symmetric bit for bit is returned as it is, without a
+    copy, which gives the same bits since (x + x)/2 = x. So the result may
+    alias the input; no engine writes to it.
     """
     a = as_matrix(entries)
     if a.shape[0] != a.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {a.shape}")
+    # compared as bits: a +0/-0 pair compares equal as floats, but its
+    # average below is +0 in both places
+    if np.array_equal(a.view(np.int64), a.T.view(np.int64)):
+        return a
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     skew = float(np.max(np.abs(a - a.T)))
     if skew > _SYM_RTOL * max(scale, 1e-300):
@@ -152,8 +159,10 @@ class EigenSystem:
         vectors = _canonical_sign(vectors)
         if np.any(np.diff(values) > 0.0):
             raise ConfigError("eigenvalues must be non-increasing")
+        # max |V V^T - I|, formed in the Gram matrix's own buffer
         gram = vectors @ vectors.T
-        if float(np.max(np.abs(gram - np.eye(vectors.shape[0])))) > _ORTHO_TOL:
+        gram[np.diag_indices_from(gram)] -= 1.0
+        if float(np.max(np.abs(gram, out=gram))) > _ORTHO_TOL:
             raise NumericalError("eigenvectors are not orthonormal to 1e-8")
         values.setflags(write=False)
         vectors.setflags(write=False)

@@ -97,23 +97,28 @@ def random_covariance(spectrum, seed: int,
 
     rotation "haar" draws Q from the orthogonal group (QR of a Gaussian
     matrix with the sign-fixed diagonal); "identity" keeps Q = I, which is
-    the diagonal test hook.
+    the diagonal test hook. Signs are flipped in place and Sigma is
+    symmetrized into the buffer of Q Lambda once the product is formed, so
+    the call holds at most a few d x d arrays at a time.
     """
     lam = validate_spectrum(spectrum)
     d = lam.size
     if rotation == "identity":
         q = np.eye(d)
     elif rotation == "haar":
-        g = rng_for(seed).standard_normal((d, d))
-        q, r = np.linalg.qr(g)
+        q, r = np.linalg.qr(rng_for(seed).standard_normal((d, d)))
         signs = np.sign(np.diag(r))
+        del r
         signs[signs == 0.0] = 1.0
-        q = q * signs[None, :]
+        q *= signs[None, :]
     else:
         raise ConfigError(f"unknown rotation mode {rotation!r}")
-    sigma = (q * lam[None, :]) @ q.T
-    sigma = np.ascontiguousarray((sigma + sigma.T) / 2.0)
-    return sigma, EigenSystem(values=lam, vectors=q.T)
+    sigma = q * lam[None, :]  # Q Lambda, whose buffer then takes Sigma
+    product = sigma @ q.T
+    np.add(product, product.T, out=sigma)
+    del product
+    sigma /= 2.0
+    return np.ascontiguousarray(sigma), EigenSystem(values=lam, vectors=q.T)
 
 
 def gaussian_stream(sigma_or_truth, batch_size: int,

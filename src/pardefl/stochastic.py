@@ -251,12 +251,13 @@ def deflated_matvec(y, peers, lams, x) -> np.ndarray:
 def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
                                   n_rounds: int, local_steps: int,
                                   schedule: StepSchedule, seed: int,
-                                  mode: str = "serial") -> RunTrace:
+                                  mode: str = "serial", on_round=None) -> RunTrace:
     """Streaming parallel deflation, every worker reading one shared batch per
     local step; deterministic given the seed. The schedule is resolved as
     round 1 starts, after `run_round_synchronous` has checked K, T and L.
     The first row block reads its batches from `_prefetch`; no helper thread
-    outlives the call, whether it returns or raises."""
+    outlives the call, whether it returns or raises. `on_round` is the round
+    sink of `run_round_synchronous`."""
     eta_at = None
     batches = _prefetch(provider, n_rounds, local_steps)
 
@@ -283,6 +284,6 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
         return run_round_synchronous(
             dim=provider.dim, n_workers=n_components, n_rounds=n_rounds, seed=seed,
             update=update, algorithm="stochastic_parallel_deflation",
-            local_steps=local_steps, mode=mode)
+            local_steps=local_steps, mode=mode, on_round=on_round)
     finally:
         batches.close()

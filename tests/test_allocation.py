@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
 
 def peak_bytes(fn):
@@ -71,9 +72,7 @@ class TestPostEnginePeaks:
 
     def test_oracle_scratch_flat_in_rounds(self):
         from pardefl import EigenSystem, RunTrace, attach_oracle
-        from pardefl.engine import ORACLE_PIECE_BYTES
 
-        # an 8 kB round: both runs use the same 32-round piece buffer
         d, k = 128, 8
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d)))
         truth = EigenSystem(values=np.linspace(2.0, 0.1, d), vectors=q.T)
@@ -85,8 +84,25 @@ class TestPostEnginePeaks:
             result = n_rounds * k * 8  # the (L, K) errors
             scratch[n_rounds] = peak_bytes(lambda: attach_oracle(trace, truth)) - result
         assert scratch[2000] - scratch[50] < 16 * 1024, scratch
-        # the piece buffer plus numpy's reduction buffers
-        assert scratch[2000] < ORACLE_PIECE_BYTES + 128 * 1024, scratch
+        # the scorer's one-round buffers, both signs, plus small objects
+        one_round = (2 * k * d + 2 * k) * 8
+        assert scratch[2000] < one_round + 16 * 1024, scratch
+
+    @pytest.mark.parametrize("algorithm", ["parallel_deflation", "eigengame_mu",
+                                           "stochastic_parallel_deflation"])
+    def test_scored_run_flat_in_rounds(self, algorithm):
+        from pardefl.cli import ExperimentConfig, _Problem, run_trial
+
+        k, peak = 4, {}
+        for n_rounds in (50, 2000):
+            cfg = ExperimentConfig(algorithm=algorithm, spectrum="powerlaw", d=64,
+                                   K=k, L=n_rounds, eta=0.5, batch_size=16, seed=1,
+                                   out="unused")
+            problem = _Problem(cfg)
+            peak[n_rounds] = peak_bytes(lambda: run_trial(cfg, problem, 0))
+        # a stored (L, K, d) trace would grow by 4 MB here
+        errors_growth = (2000 - 50) * k * 8
+        assert peak[2000] - peak[50] <= errors_growth + 64 * 1024, peak
 
     def test_load_pdm1_holds_only_its_result(self, tmp_path):
         from pardefl import load_pdm1, save_pdm1

@@ -64,9 +64,9 @@ def test_memory_script_records_a_tiny_run(tmp_path, monkeypatch):
     shapes = {s["name"]: s for s in results["smoke"]["shapes"]}
     assert list(shapes) == ["tiny-dense", "tiny-stream", "tiny-data"]
     common = {"sigma", "engine", "metric", "trial_csv", "write", "aggregate"}
-    assert set(shapes["tiny-dense"]["phases"]) == common | {"oracle"}
-    assert set(shapes["tiny-stream"]["phases"]) == common | {"oracle"}
-    assert set(shapes["tiny-data"]["phases"]) == common
+    # a synthetic run is scored inside its engine call
+    for name in shapes:
+        assert set(shapes[name]["phases"]) == common, name
     assert shapes["tiny-dense"]["trace_mb"] == 4 * 2 * 8 * 8 / 1e6
     assert shapes["tiny-data"]["data_mb"] == 40 * 6 * 8 / 1e6
     for s in shapes.values():

@@ -5,7 +5,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pardefl import cli, discounted_rayleigh, recovery_error, save_pdm1
+from pardefl import (attach_oracle, cli, discounted_rayleigh, parallel_deflation,
+                     recovery_error, run_eigengame, save_pdm1,
+                     sequential_deflation, stochastic_parallel_deflation,
+                     unit_init)
 from pardefl.cli import (TRIAL_HEADER, ExperimentConfig, _Problem, _trial_csv,
                          build_config, main, parse_config_file, run_comparison,
                          run_experiment, run_theory_report, run_trial)
@@ -238,16 +241,41 @@ def traced(cfg):
     return problem, run_trial(cfg, problem, 0)
 
 
+def stored_vectors(cfg, problem, trial=0):
+    """The (L, K, d) broadcasts of a trial, from the public engines' stored
+    traces (a sequential run as K rounds, one component completed per round)."""
+    seed = cfg.seed + trial
+    if cfg.algorithm == "sequential_deflation":
+        final = sequential_deflation(problem.sigma, cfg.K, cfg._top1_config(), seed)
+        inits = np.stack([unit_init(seed, k, cfg.d) for k in range(1, cfg.K + 1)])
+        rounds = np.stack([inits] * cfg.K)
+        for rnd in range(1, cfg.K + 1):
+            rounds[rnd - 1, :rnd] = final[:rnd]
+        return rounds
+    if cfg.algorithm == "parallel_deflation":
+        trace = parallel_deflation(problem.sigma, cfg.K, cfg.L, cfg._top1_config(), seed)
+    elif cfg.algorithm == "stochastic_parallel_deflation":
+        trace = stochastic_parallel_deflation(problem.provider(seed), cfg.K, cfg.L,
+                                              cfg.T, cfg._step_schedule(), seed)
+    else:
+        trace = run_eigengame(cfg.algorithm.rpartition("_")[2], problem.sigma, cfg.K,
+                              cfg.L, cfg.T, eta=cfg.eta, seed=seed)
+    return trace.vectors
+
+
 class TestMetricSeries:
     def test_synthetic_bitwise_per_round_recovery_error(self, tmp_path):
         for algo, extra in (("parallel_deflation", {}),
                             ("sequential_deflation", {}),
                             ("stochastic_parallel_deflation", {"batch_size": 16}),
                             ("eigengame_mu", {})):
-            problem, trace = traced(small_cfg(algorithm=algo, trials=1,
-                                              out=str(tmp_path), **extra))
+            cfg = small_cfg(algorithm=algo, trials=1, out=str(tmp_path), **extra)
+            problem, trace = traced(cfg)
+            assert trace.vectors is None, algo
+            stored = stored_vectors(cfg, problem)
+            assert trace.final_vectors.tobytes() == stored[-1].tobytes(), algo
             top = problem.truth.vectors[: trace.n_workers]
-            expect = [recovery_error(top, v) for v in trace.vectors]
+            expect = [recovery_error(top, v) for v in stored]
             assert problem.metric_series(trace).tolist() == expect, algo
 
     def test_dense_data_source_scores_from_sigma(self, tmp_path, rng):
@@ -278,9 +306,12 @@ class TestMetricSeries:
 
 class TestTrialCsv:
     def test_matches_per_row_formatter_with_errors(self, tmp_path):
-        problem, trace = traced(small_cfg(out=str(tmp_path)))
+        cfg = small_cfg(out=str(tmp_path))
+        problem, trace = traced(cfg)
         metric = problem.metric_series(trace)
-        assert trace.errors is not None
+        stored = cli.RunTrace(algorithm=cfg.algorithm, local_steps=cfg.T, seed=cfg.seed,
+                              vectors=stored_vectors(cfg, problem))
+        assert trace.errors.tobytes() == attach_oracle(stored, problem.truth).errors.tobytes()
         assert _trial_csv(trace, metric, 4) == reference_trial_csv(trace, metric, 4)
 
     def test_matches_per_row_formatter_without_errors(self, tmp_path, rng):

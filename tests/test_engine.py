@@ -1,6 +1,6 @@
 """The batched dense round against a per-worker reference, its error
 messages, the run-shape checks, the bounded thread pool of
-`run_round_synchronous` and the pieced `attach_oracle` against the
+`run_round_synchronous`, its round sinks, and `attach_oracle` against the
 whole-array distances."""
 
 import os
@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from pardefl import (ConfigError, EigenSystem, NumericalError, StepSchedule,
-                     Top1Config, deflate, eigengame_alpha_grad,
-                     eigengame_mu_grad, normalize, parallel_deflation, run_eigengame,
-                     stochastic_parallel_deflation, top1, unit_init)
+                     Top1Config, attach_oracle, deflate, eigengame_alpha_grad,
+                     eigengame_mu_grad, normalize, parallel_deflation,
+                     replay_round, run_eigengame, stochastic_parallel_deflation,
+                     top1, unit_init)
 from pardefl import engine
+from pardefl.deflation import _round_update
 from pardefl.metrics import gaussian_stream, random_covariance
 
 # K spans two row blocks, and rounds 1..9 leave workers idle; the reference
@@ -152,43 +154,99 @@ def _oracle(d, seed=0):
     return EigenSystem(values=np.linspace(2.0, 0.1, d), vectors=q.T)
 
 
-class TestAttachOraclePieces:
-    """`attach_oracle` scores a piece of rounds at a time; every piece
-    boundary must give the whole-array distances bit for bit."""
+class TestAttachOracleRounds:
+    """`attach_oracle` runs the per-round scorer over a stored trace; every
+    round must give the whole-array distances bit for bit."""
 
     D = 64
 
-    @staticmethod
-    def piece(k, d):
-        return max(1, engine.ORACLE_PIECE_BYTES // (8 * k * d))
-
-    def check(self, k, d, n_rounds):
-        truth = _oracle(d)
-        vectors = np.random.default_rng(n_rounds).standard_normal((n_rounds, k, d))
+    @pytest.mark.parametrize("k, n_rounds", [(4, 1), (4, 2), (4, 300), (1, 300)],
+                             ids=["one-round", "two-rounds", "many-rounds", "one-worker"])
+    def test_matches_whole_array_distances(self, k, n_rounds):
+        truth = _oracle(self.D)
+        vectors = np.random.default_rng(n_rounds).standard_normal((n_rounds, k, self.D))
         trace = engine.RunTrace(algorithm="parallel_deflation", local_steps=1,
                                 seed=0, vectors=vectors)
-        errors = engine.attach_oracle(trace, truth).errors
+        errors = attach_oracle(trace, truth).errors
         top = truth.vectors[:k]
         expect = np.minimum(np.linalg.norm(vectors - top, axis=2),
                             np.linalg.norm(vectors + top, axis=2))
         assert errors.shape == (n_rounds, k) and not errors.flags.writeable
         assert errors.tobytes() == expect.tobytes()
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
-    def test_around_a_piece_boundary(self, offset):
-        k = 4
-        self.check(k, self.D, self.piece(k, self.D) + offset)
+    def test_scorer_refuses_a_wrong_shape(self):
+        scorer = engine.OracleScorer(_oracle(8), n_rounds=3, n_workers=2)
+        with pytest.raises(ConfigError, match=r"dimension mismatch: broadcast \(2, 9\)"):
+            scorer(1, np.zeros((2, 9)))
 
-    def test_one_round_and_several_pieces(self):
-        k = 4
-        self.check(k, self.D, 1)
-        self.check(k, self.D, 3 * self.piece(k, self.D) + 5)
 
-    def test_one_worker(self):
-        self.check(1, self.D, self.piece(1, self.D) + 1)
+# the four round-synchronous engines, with or without a round sink
+SINK_RUNS = {
+    "parallel_deflation": lambda s, mode, sink: parallel_deflation(
+        s, K, L, Top1Config(steps=2), seed=4, mode=mode, on_round=sink),
+    "eigengame_alpha": lambda s, mode, sink: run_eigengame(
+        "alpha", s, K, L, 2, eta=0.2, seed=4, mode=mode, on_round=sink),
+    "eigengame_mu": lambda s, mode, sink: run_eigengame(
+        "mu", s, K, L, 2, eta=0.2, seed=4, mode=mode, on_round=sink),
+    "stochastic_parallel_deflation": lambda s, mode, sink: stochastic_parallel_deflation(
+        gaussian_stream(s, 16, 4), K, L, 2, StepSchedule(), seed=4, mode=mode,
+        on_round=sink),
+}
 
-    def test_round_over_the_budget_is_one_piece(self, monkeypatch):
-        k = 3
-        monkeypatch.setattr(engine, "ORACLE_PIECE_BYTES", 8 * k * self.D - 8)
-        assert self.piece(k, self.D) == 1
-        self.check(k, self.D, 5)
+
+class TestRoundSink:
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return random_covariance(np.linspace(2.0, 0.1, D), seed=3)
+
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("run", SINK_RUNS.values(), ids=SINK_RUNS.keys())
+    def test_scored_run_equals_attached_stored_run(self, problem, run, mode):
+        sigma, truth = problem
+        stored = attach_oracle(run(sigma, mode, None), truth)
+        scored = run(sigma, mode, engine.OracleScorer(truth, L, K))
+        assert scored.vectors is None and stored.vectors.shape == (L, K, D)
+        assert scored.errors.tobytes() == stored.errors.tobytes()
+        assert not scored.errors.flags.writeable
+        assert scored.final_vectors.tobytes() == stored.final_vectors.tobytes()
+        assert scored.oracle_reliable == stored.oracle_reliable
+        assert (scored.n_rounds, scored.n_workers, scored.dim) == (L, K, D)
+        assert np.array_equal(scored.active(), stored.active())
+        assert (scored.algorithm, scored.local_steps, scored.seed, scored.variant) == (
+            stored.algorithm, stored.local_steps, stored.seed, stored.variant)
+
+    @pytest.mark.parametrize("name, update", [
+        ("parallel_deflation", lambda s: _round_update(s, Top1Config(steps=2))),
+        ("eigengame_alpha", lambda s: engine.dense_round_update(s, "alpha", steps=2, eta=0.2)),
+        ("eigengame_mu", lambda s: engine.dense_round_update(s, "mu", steps=2, eta=0.2)),
+    ], ids=["parallel_deflation", "eigengame_alpha", "eigengame_mu"])
+    def test_default_sink_stores_every_round(self, problem, name, update):
+        sigma = problem[0]
+        trace = SINK_RUNS[name](sigma, "serial", None)
+        prev = np.stack([unit_init(4, k, D) for k in range(1, K + 1)])
+        expect = []
+        for rnd in range(1, L + 1):
+            prev = engine.next_round(update(sigma), rnd, prev)
+            expect.append(prev)
+        assert trace.vectors.tobytes() == np.stack(expect).tobytes()
+        assert not trace.vectors.flags.writeable
+        assert trace.final_vectors.tobytes() == trace.vectors[-1].tobytes()
+        assert trace.errors is None
+
+    def test_scored_trace_has_no_rounds_to_read(self, problem):
+        sigma, truth = problem
+        cfg = Top1Config(steps=2)
+        trace = SINK_RUNS["parallel_deflation"](sigma, "serial",
+                                                engine.OracleScorer(truth, L, K))
+        for read in (lambda: trace.worker_state(1, 1),
+                     lambda: replay_round(sigma, trace, 2, cfg),
+                     lambda: attach_oracle(trace, truth)):
+            with pytest.raises(ConfigError, match="keeps no per-round vectors"):
+                read()
+
+    def test_trace_needs_vectors_or_errors(self):
+        with pytest.raises(ConfigError, match="per-round vectors or its final ones"):
+            engine.RunTrace(algorithm="parallel_deflation", local_steps=1, seed=0)
+        with pytest.raises(ConfigError, match="needs its errors"):
+            engine.RunTrace(algorithm="parallel_deflation", local_steps=1, seed=0,
+                            final_vectors=np.eye(2))

@@ -160,6 +160,46 @@ class TestSymMatrix:
         with pytest.raises(ConfigError):
             sym_matrix(np.ones((2, 3)))
 
+    def test_exactly_symmetric_input_returned_as_is(self):
+        m = np.random.default_rng(1).standard_normal((30, 30))
+        a = (m + m.T) / 2.0
+        s = sym_matrix(a)
+        assert s is a
+        assert s.tobytes() == np.ascontiguousarray((a + a.T) / 2.0).tobytes()
+
+    def test_symmetrizes_inside_tolerance_as_a_copy(self):
+        m = np.random.default_rng(2).standard_normal((30, 30))
+        a = m + m.T
+        a[3, 7] *= 1.0 + 1e-14
+        s = sym_matrix(a)
+        assert s is not a and s.flags.c_contiguous
+        assert s.tobytes() == ((a + a.T) / 2.0).tobytes()
+
+    def test_refusal_outside_tolerance_names_the_skew(self):
+        a = np.eye(3)
+        a[0, 2] = 1e-9
+        with pytest.raises(ConfigError, match=r"not symmetric: max \|A - A\^T\| = 1e-09 "
+                                              r"at scale 1.0"):
+            sym_matrix(a)
+
+    def test_zeros_of_opposite_sign_averaged(self):
+        s = sym_matrix(np.array([[1.0, -0.0], [0.0, 1.0]]))
+        assert np.copysign(1.0, s[0, 1]) == np.copysign(1.0, s[1, 0]) == 1.0
+
+    def test_symmetric_check_scratch(self):
+        import tracemalloc
+
+        d = 1000
+        m = np.random.default_rng(3).standard_normal((d, d))
+        a = (m + m.T) / 2.0
+        del m
+        tracemalloc.start()
+        sym_matrix(a)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # one d x d boolean comparison, against 16 MB for the copy and its temporaries
+        assert peak < 2_000_000, peak
+
 
 class TestEigenSystem:
     def test_rejects_increasing_values(self):

@@ -171,6 +171,35 @@ class TestRandomCovariance:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("d", [5, 120])
+    def test_bitwise_equal_to_the_plain_formula(self, d):
+        from pardefl import EigenSystem, rng_for
+
+        spec = spectrum_powerlaw(d)
+        q, r = np.linalg.qr(rng_for(4).standard_normal((d, d)))
+        signs = np.sign(np.diag(r))
+        signs[signs == 0.0] = 1.0
+        q = q * signs[None, :]
+        plain = (q * spec[None, :]) @ q.T
+        plain = np.ascontiguousarray((plain + plain.T) / 2.0)
+        sigma, truth = random_covariance(spec, seed=4)
+        assert sigma.flags.c_contiguous
+        assert sigma.tobytes() == plain.tobytes()
+        assert truth.vectors.tobytes() == EigenSystem(spec, q.T).vectors.tobytes()
+
+    def test_peak_memory(self):
+        import tracemalloc
+
+        d = 400
+        spec = spectrum_powerlaw(d)
+        random_covariance(spec, seed=1)  # LAPACK's first-call setup, untraced
+        tracemalloc.start()
+        random_covariance(spec, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # the QR holds about four d x d arrays; the result two
+        assert peak <= 4.5 * d * d * 8, peak / (d * d * 8)
+
     def test_rejects_bad_spectrum(self):
         with pytest.raises(ConfigError):
             random_covariance(np.array([1.0, -0.5]), seed=1)
