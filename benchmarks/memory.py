@@ -8,9 +8,12 @@ Each shape is one `cli.run_experiment` call (one trial, serial mode, seed
 5) under tracemalloc. The names `pardefl.cli` calls are wrapped in place on
 the module for the call, as perfbench does, and each is a phase:
 
-    sigma      random_covariance, or load_matrix and covariance for a file
-    engine     the algorithm's engine call; on a synthetic source it also
-               scores each round's oracle distances as the round ends
+    sigma      random_covariance; for a file, load_covariance (Y^T Y read
+               a chunk of rows at a time) or, for a streaming run,
+               load_matrix
+    engine     the algorithm's engine call; it also scores each round as
+               the round ends (oracle distances on a synthetic source, the
+               discounted Rayleigh score on a file)
     metric     _Problem.metric_series
     trial_csv  _trial_csv
     write      atomic_write_text (trial and aggregate files)
@@ -19,15 +22,16 @@ the module for the call, as perfbench does, and each is a phase:
 A phase's `peak_mb` is the highest traced memory while it ran: what the
 run already held plus the phase's own scratch. `own_mb` is that peak less
 what was traced when the phase began. `run_peak_mb` is the peak over the
-whole call, gaps between phases included. `trace_mb` is the size of the
-(L, K, d) trace, which only a run on a data file keeps, and `data_mb` that
-of the data file's matrix, for scale.
+whole call, gaps between phases included. `trace_mb` is the size an
+(L, K, d) trace would have, which no `pardefl run` keeps any more, and
+`data_mb` that of the data file's matrix, for scale.
 Peaks are counts of bytes numpy and Python allocate, so they repeat from
 run to run; one run per shape is recorded.
 
 The record goes under `--label` in the `--out` JSON file, next to any
 records already there, so one file can hold a before and an after run.
-Point PYTHONPATH at another checkout's `src` to measure that tree instead.
+Point PYTHONPATH at another checkout's `src` to measure that tree instead;
+phase names that tree's `pardefl.cli` lacks are skipped.
 """
 
 import os
@@ -49,17 +53,20 @@ import numpy as np  # noqa: E402
 from pardefl import cli, save_pdm1  # noqa: E402
 
 # name, algorithm, d, K, L, T, batch size, data rows (None: powerlaw
-# spectrum): perfbench's three workloads, then two larger dense shapes
+# spectrum): perfbench's three workloads, eigengame-data at five times its
+# rows, then two larger dense shapes
 SHAPES = (
     ("dense-deflation", "parallel_deflation", 200, 10, 400, 1, None, None),
     ("streaming-gaussian", "stochastic_parallel_deflation", 50, 5, 400, 5, 256, None),
     ("eigengame-data", "eigengame_mu", 100, 8, 200, 10, None, 8000),
+    ("eigengame-data-40k", "eigengame_mu", 100, 8, 200, 10, None, 40000),
     ("deflation-d1000", "parallel_deflation", 1000, 32, 100, 1, None, None),
     ("deflation-d2000", "parallel_deflation", 2000, 64, 200, 1, None, None),
 )
 SEED = 5
 PHASES = {
     "random_covariance": "sigma", "load_matrix": "sigma", "covariance": "sigma",
+    "load_covariance": "sigma",
     "parallel_deflation": "engine", "stochastic_parallel_deflation": "engine",
     "run_eigengame": "engine",
     "_trial_csv": "trial_csv", "atomic_write_text": "write",
@@ -96,7 +103,8 @@ class PhasePeaks:
 @contextlib.contextmanager
 def phases_wrapped(peaks):
     """Wrap the phase names on `pardefl.cli` and restore them on exit."""
-    targets = [(cli, name, phase) for name, phase in PHASES.items()]
+    targets = [(cli, name, phase) for name, phase in PHASES.items()
+               if hasattr(cli, name)]
     targets.append((cli._Problem, "metric_series", "metric"))
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in targets]
     try:

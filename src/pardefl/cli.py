@@ -28,17 +28,17 @@ import numpy as np
 
 from .deflation import parallel_deflation, sequential_deflation
 from .eigengame import run_eigengame
-from .engine import MODES, OracleScorer, RunTrace, StoredRounds
+from .engine import MODES, OracleScorer, RunTrace
 from .errors import ConfigError, PardeflError
-from .io import atomic_write_text, load_matrix
+from .io import atomic_write_text, load_covariance, load_matrix
 from .linalg import covariance
-from .metrics import (discounted_rayleigh, gaussian_stream, random_covariance,
+from .metrics import (RayleighScorer, gaussian_stream, random_covariance,
                       spectrum_expdecay, spectrum_powerlaw)
-# Not called here (a synthetic run is scored round by round by its
-# `OracleScorer`, and the metric reads those distances), but perfbench/run.py
-# wraps both names on this module.
+# Not called here (every run is scored round by round by its sink, and the
+# metric reads those scores), but perfbench/run.py wraps these names on this
+# module.
 from .engine import attach_oracle  # noqa: F401
-from .metrics import recovery_error  # noqa: F401
+from .metrics import discounted_rayleigh, recovery_error  # noqa: F401
 from .seeding import unit_init
 from .solvers import POWER_ITERATION, Top1Config
 from .stochastic import (MatrixRowProvider, StepSchedule,
@@ -46,9 +46,9 @@ from .stochastic import (MatrixRowProvider, StepSchedule,
 from .theory import (bound_report_to_csv, check_bound, schedule_for_run,
                      schedule_to_csv)
 
-ALGORITHMS = ("parallel_deflation", "sequential_deflation",
-              "stochastic_parallel_deflation", "eigengame_alpha",
-              "eigengame_mu")
+STREAMING = "stochastic_parallel_deflation"
+ALGORITHMS = ("parallel_deflation", "sequential_deflation", STREAMING,
+              "eigengame_alpha", "eigengame_mu")
 SPECTRA = {"powerlaw": spectrum_powerlaw, "expdecay": spectrum_expdecay}
 
 TRIAL_HEADER = "trial,algorithm,T,round,total_steps,worker,error,metric"
@@ -162,72 +162,74 @@ def build_config(file_values: dict | None = None,
 
 
 class _Problem:
-    """Resolved data source shared by the trial runs of one experiment."""
+    """Resolved data source shared by the runs of `cfgs`: the trials of one
+    experiment, or every member run of a comparison (one `source_key()`).
 
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self._sigma = None
+    A synthetic source holds Sigma and its eigensystem. A data file is held
+    as Sigma = Y^T Y and its row count n (`load_covariance`), unless a
+    streaming run among cfgs needs the rows Y; Sigma is then built from Y
+    only if a dense run asks for it, with the same bits.
+    """
+
+    def __init__(self, *cfgs: ExperimentConfig):
+        cfg = cfgs[0]
+        self._sigma = self.data = self.truth = None
         if cfg.spectrum is not None:
             spec = SPECTRA[cfg.spectrum](cfg.d)
             self._sigma, self.truth = random_covariance(spec, cfg.seed)
-            self.data = None
             dim = cfg.d
-        else:
+        elif any(c.algorithm == STREAMING for c in cfgs):
             self.data = load_matrix(cfg.data)
-            self.truth = None
-            dim = self.data.shape[1]
+            self.n_rows, dim = self.data.shape
+        else:
+            self._sigma, self.n_rows = load_covariance(cfg.data)
+            dim = self._sigma.shape[0]
         if cfg.K > dim:
             raise ConfigError(f"K exceeds dimension: K={cfg.K}, d={dim}")
 
     @property
     def sigma(self) -> np.ndarray:
-        # built on demand so matrix-free streaming runs over file sources
-        # never materialize a d x d covariance
+        # built on demand from kept rows, so matrix-free streaming runs over
+        # file sources never materialize a d x d covariance
         if self._sigma is None:
             self._sigma = covariance(self.data)
         return self._sigma
 
-    def provider(self, trial_seed: int):
+    def provider(self, cfg: ExperimentConfig, trial_seed: int):
         if self.truth is not None:
-            return gaussian_stream(self.truth, self.cfg.batch_size, trial_seed)
-        return MatrixRowProvider(self.data, self.cfg.batch_size, trial_seed)
+            return gaussian_stream(self.truth, cfg.batch_size, trial_seed)
+        return MatrixRowProvider(self.data, cfg.batch_size, trial_seed)
 
-    def scorer(self, n_rounds: int) -> OracleScorer | None:
-        """The round sink of a run of `n_rounds` rounds.
+    def scorer(self, cfg: ExperimentConfig, n_rounds: int):
+        """The round sink of one of cfg's runs, `n_rounds` rounds long.
 
-        Synthetic sources score each round as it is made and keep no
-        vectors. Data sources keep the whole trace (None): scored round by
-        round from Sigma, the discounted Rayleigh metric is not bitwise
-        equal to its one pass over the trace.
+        Every run is scored as it is made and keeps no per-round vectors.
+        A synthetic source keeps each round's oracle distances. A data file
+        keeps each round's discounted Rayleigh score: from the rows Y for a
+        streaming run, from Sigma and n for a dense one.
         """
-        if self.truth is None:
-            return None
-        return OracleScorer(self.truth, n_rounds, self.cfg.K)
+        if self.truth is not None:
+            return OracleScorer(self.truth, n_rounds, cfg.K)
+        if cfg.algorithm == STREAMING:
+            return RayleighScorer(n_rounds, cfg.K, data=self.data)
+        return RayleighScorer(n_rounds, cfg.K, gram=self.sigma, n_rows=self.n_rows)
 
     def metric_series(self, trace: RunTrace) -> np.ndarray:
-        """The per-round metric of a trace, scored in one pass.
-
-        Synthetic sources: the RMS over workers of the trace's oracle
-        distances, i.e. each round's `recovery_error`. Data sources: the
-        discounted Rayleigh score of the stored rounds, from Sigma / n when
-        a dense engine has built Sigma = Y^T Y, else from the data rows.
-        """
-        if self.truth is not None:
-            return np.sqrt(np.mean(trace.errors ** 2, axis=1))
-        if self._sigma is not None:
-            return discounted_rayleigh(trace.round_vectors(),
-                                       sigma=self._sigma / self.data.shape[0])
-        return discounted_rayleigh(trace.round_vectors(), data=self.data)
+        """The per-round metric of a trace scored as it ran: its discounted
+        Rayleigh scores on a data file, else the RMS over workers of its
+        oracle distances, i.e. each round's `recovery_error`."""
+        if trace.scores is not None:
+            return trace.scores
+        return np.sqrt(np.mean(trace.errors ** 2, axis=1))
 
 
 def _sequential_trace(cfg: ExperimentConfig, sigma, trial_seed: int,
-                      on_round=None) -> RunTrace:
+                      sink) -> RunTrace:
     """Present a sequential run as K rounds, one component completed per
-    round, fed to the round sink `on_round` as the engines feed theirs."""
+    round, fed to the round sink as the engines feed theirs."""
     final = sequential_deflation(sigma, cfg.K, cfg._top1_config(), trial_seed)
     dim = sigma.shape[0]
     snapshot = np.stack([unit_init(trial_seed, k, dim) for k in range(1, cfg.K + 1)])
-    sink = StoredRounds(cfg.K, cfg.K, dim) if on_round is None else on_round
     for rnd in range(1, cfg.K + 1):
         snapshot[rnd - 1] = final[rnd - 1]
         sink(rnd, snapshot)
@@ -242,19 +244,19 @@ def _require_rounds(cfg: ExperimentConfig) -> None:
 
 
 def run_trial(cfg: ExperimentConfig, problem: _Problem, trial: int) -> RunTrace:
-    """One trial's trace, scored as it runs on a synthetic source
-    (`_Problem.scorer`), so it then holds errors, not per-round vectors."""
+    """One trial's trace, scored as it runs (`_Problem.scorer`), so it holds
+    errors or scores, not per-round vectors."""
     trial_seed = cfg.seed + trial
     algo = cfg.algorithm
     if algo == "sequential_deflation":
         return _sequential_trace(cfg, problem.sigma, trial_seed,
-                                 on_round=problem.scorer(cfg.K))
-    sink = problem.scorer(cfg.L)
+                                 problem.scorer(cfg, cfg.K))
+    sink = problem.scorer(cfg, cfg.L)
     if algo == "parallel_deflation":
         return parallel_deflation(problem.sigma, cfg.K, cfg.L, cfg._top1_config(),
                                   trial_seed, mode=cfg.mode, on_round=sink)
-    if algo == "stochastic_parallel_deflation":
-        return stochastic_parallel_deflation(problem.provider(trial_seed), cfg.K,
+    if algo == STREAMING:
+        return stochastic_parallel_deflation(problem.provider(cfg, trial_seed), cfg.K,
                                              cfg.L, cfg.T, cfg._step_schedule(),
                                              trial_seed, mode=cfg.mode, on_round=sink)
     variant = "alpha" if algo.endswith("alpha") else "mu"
@@ -291,14 +293,16 @@ def _aggregate_rows(cfg: ExperimentConfig, stack: np.ndarray) -> list[str]:
             for l, (mean, low, high) in enumerate(zip(*(c.tolist() for c in columns)))]
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
+def run_experiment(cfg: ExperimentConfig, problem: _Problem | None = None) -> dict:
     """Run `trials` seeds; write one CSV per trial plus the aggregate CSV.
 
-    Returns {"trials": [paths], "aggregate": path, "metric": (trials, L)
-    array}. Reruns with identical config and seed are byte-identical.
+    `problem` is cfg's source, built here when not given. Returns
+    {"trials": [paths], "aggregate": path, "metric": (trials, L) array}.
+    Reruns with identical config and seed are byte-identical.
     """
     _require_rounds(cfg)
-    problem = _Problem(cfg)
+    if problem is None:
+        problem = _Problem(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -318,7 +322,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def run_comparison(cfgs: list[ExperimentConfig], out_path) -> Path:
-    """Run several configs on a shared source/K and merge their aggregates."""
+    """Run several configs on a shared source/K and merge their aggregates.
+
+    The source is built once and shared by every member run.
+    """
     if not cfgs:
         raise ConfigError("need at least one config to compare")
     key = cfgs[0].source_key()
@@ -339,9 +346,10 @@ def run_comparison(cfgs: list[ExperimentConfig], out_path) -> Path:
         # files of the member runs apart
         cfgs = [replace(cfg, out=str(Path(cfg.out) / f"cmp_{i:02d}"))
                 for i, cfg in enumerate(cfgs)]
+    problem = _Problem(*cfgs)
     lines = [AGGREGATE_HEADER]
     for cfg in cfgs:
-        lines += _aggregate_rows(cfg, run_experiment(cfg)["metric"])
+        lines += _aggregate_rows(cfg, run_experiment(cfg, problem)["metric"])
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_path, "\n".join(lines) + "\n")
@@ -370,7 +378,8 @@ def run_theory_report(cfg: ExperimentConfig, extra_rounds: int = 50) -> dict:
     n_rounds = cfg.L if cfg.L is not None else int(schedule.s[-1]) + extra_rounds
     n_rounds = max(n_rounds, cfg.K)
     trace = parallel_deflation(problem.sigma, cfg.K, n_rounds, cfg._top1_config(),
-                               cfg.seed, mode=cfg.mode, on_round=problem.scorer(n_rounds))
+                               cfg.seed, mode=cfg.mode,
+                               on_round=problem.scorer(cfg, n_rounds))
     report = check_bound(trace, schedule)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,8 @@ mode, thread mode and `deflation.replay_round` therefore issue the same
 calls on the same operands and produce bitwise identical rounds. Each
 round's broadcast then goes to a round sink: `StoredRounds`, the default,
 keeps the (L, K, d) trace; `OracleScorer` keeps only the round's (K,)
-recovery errors, so a scored run holds O(Kd) per round, not the trace.
+recovery errors and `metrics.RayleighScorer` its discounted Rayleigh
+score, so a scored run holds O(Kd) per round, not the trace.
 
 `block_steps` runs the local steps of a block of worker rows X for every
 round-synchronous engine. Per step, without any d x d allocation, it forms
@@ -65,13 +66,16 @@ class RunTrace:
     """Per-round log of one run: every broadcast, or its scores only.
 
     vectors has shape (L, K, d): vectors[l-1, k-1] is worker k's broadcast
-    after round l. A run scored as it went (`OracleScorer`) keeps no vectors,
-    only final_vectors, the (K, d) broadcast after round L, which otherwise
-    defaults to vectors[-1]. errors (shape (L, K)) holds sign-invariant
-    distances to an attached ground-truth eigensystem, or None before
-    `attach_oracle`. oracle_reliable is cleared when the attached truth has
-    (near-)repeated leading eigenvalues, in which case per-worker errors are
-    not meaningful and schedule checks refuse the trace.
+    after round l. A run scored as it went (`OracleScorer`,
+    `metrics.RayleighScorer`) keeps no vectors, only final_vectors, the
+    (K, d) broadcast after round L, which otherwise defaults to
+    vectors[-1]. errors (shape (L, K)) holds sign-invariant distances to an
+    attached ground-truth eigensystem, or None before `attach_oracle`.
+    scores (shape (L,)) holds an oracle-free score per round, the
+    discounted Rayleigh quotient, or None. oracle_reliable is cleared when
+    the attached truth has (near-)repeated leading eigenvalues, in which
+    case per-worker errors are not meaningful and schedule checks refuse
+    the trace.
     """
 
     algorithm: str
@@ -82,18 +86,22 @@ class RunTrace:
     variant: str | None = None
     oracle_reliable: bool = True
     final_vectors: np.ndarray | None = None
+    scores: np.ndarray | None = None
 
     def __post_init__(self):
         if self.final_vectors is None:
             if self.vectors is None:
                 raise ConfigError("a trace needs its per-round vectors or its final ones")
             object.__setattr__(self, "final_vectors", self.vectors[-1])
-        if self.vectors is None and self.errors is None:
-            raise ConfigError("a trace without per-round vectors needs its errors")
+        if self.vectors is None and self.errors is None and self.scores is None:
+            raise ConfigError("a trace without per-round vectors needs its errors "
+                              "or its scores")
 
     @property
     def n_rounds(self) -> int:
-        return (self.errors if self.vectors is None else self.vectors).shape[0]
+        per_round = next(a for a in (self.vectors, self.errors, self.scores)
+                         if a is not None)
+        return per_round.shape[0]
 
     @property
     def n_workers(self) -> int:
@@ -227,8 +235,9 @@ def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
 
     `on_round(rnd, broadcast)` receives each round's read-only broadcast
     once the round ends, and its `finish(final)` gives the trace's fields
-    (`StoredRounds`, the default, or `OracleScorer`). It runs on the calling
-    thread, in round order, in either mode.
+    (`StoredRounds`, the default, `OracleScorer` or
+    `metrics.RayleighScorer`). It runs on the calling thread, in round
+    order, in either mode.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown engine mode {mode!r}")

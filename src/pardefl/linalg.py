@@ -12,6 +12,9 @@ import numpy as np
 from .errors import CapacityError, ConfigError, NumericalError
 
 DEFAULT_MATRIX_CAP_BYTES = 2 << 30
+# data rows per Gram update, a row count so that a chunk's C^T C (about
+# GRAM_ROWS d^2 flops) outweighs its d x d add at any d
+GRAM_ROWS = 256
 
 _SYM_RTOL = 1e-12
 _ORTHO_TOL = 1e-8
@@ -26,10 +29,15 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return v
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_2d(a, name: str) -> np.ndarray:
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ConfigError(f"{name} must be a 2-d array with positive shape")
+    return m
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    m = _as_2d(a, name)
     if not np.all(np.isfinite(m)):
         raise ConfigError(f"{name} has non-finite entries")
     return m
@@ -91,15 +99,40 @@ def sym_matrix(entries) -> np.ndarray:
     return np.ascontiguousarray((a + a.T) / 2.0)
 
 
-def covariance(y, max_bytes: int = DEFAULT_MATRIX_CAP_BYTES) -> np.ndarray:
-    """Gram matrix Y^T Y of a data matrix; symmetric positive semidefinite."""
-    ym = as_matrix(y, "data matrix")
-    d = ym.shape[1]
-    if d * d * 8 > max_bytes:
+def row_chunks(y: np.ndarray):
+    """The successive GRAM_ROWS-row slices of a 2-d array, as views."""
+    return (y[lo:lo + GRAM_ROWS] for lo in range(0, y.shape[0], GRAM_ROWS))
+
+
+def gram(chunks, dim: int, max_bytes: int = DEFAULT_MATRIX_CAP_BYTES, *,
+         error=ConfigError, name: str = "data matrix") -> np.ndarray:
+    """Y^T Y of a data matrix Y with `dim` columns, given as its row chunks.
+
+    The one definition of the package's Gram matrix: each chunk C, in
+    order, is checked for finite values (else `error`) and added as
+    G += C^T C, and the sum is returned as (G + G^T)/2. Same chunks, same
+    bits, whether they are slices of an array (`covariance`) or reads of a
+    file (`io.load_covariance`). The d x d size is checked against
+    `max_bytes` before the first chunk is drawn, so a lazy reader has read
+    no row when it is refused.
+    """
+    if dim * dim * 8 > max_bytes:
         raise CapacityError(
-            f"covariance of dimension {d} needs {d * d * 8} bytes, cap is {max_bytes}")
-    c = ym.T @ ym
-    return np.ascontiguousarray((c + c.T) / 2.0)
+            f"covariance of dimension {dim} needs {dim * dim * 8} bytes, "
+            f"cap is {max_bytes}")
+    total = np.zeros((dim, dim))
+    for c in chunks:
+        if not np.isfinite(c).all():
+            raise error(f"{name} has non-finite entries")
+        total += c.T @ c
+    return np.ascontiguousarray((total + total.T) / 2.0)
+
+
+def covariance(y, max_bytes: int = DEFAULT_MATRIX_CAP_BYTES) -> np.ndarray:
+    """Gram matrix Y^T Y of a data matrix, summed over GRAM_ROWS-row
+    slices (`gram`); symmetric positive semidefinite."""
+    ym = _as_2d(y, "data matrix")
+    return gram(row_chunks(ym), ym.shape[1], max_bytes)
 
 
 def matvec(a, x) -> np.ndarray:

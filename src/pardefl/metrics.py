@@ -3,7 +3,8 @@
 `recovery_error` is the sign-invariant RMS distance to the true
 eigenvectors; `discounted_rayleigh` is the oracle-free quality score
 sum_k v_k^T S v_k / k, computable densely or streamed from raw data rows,
-for one (K, d) stack or for all L rounds of a trace at once.
+for one (K, d) stack or for all L rounds of a trace at once, and
+`RayleighScorer` is the same score as a round sink, kept as a run goes.
 Synthetic covariances are built as Q Lambda Q^T with a Haar-random rotation
 so the ground-truth eigensystem is known by construction.
 """
@@ -62,12 +63,46 @@ def discounted_rayleigh(est, sigma=None, data=None):
         y = as_matrix(data, "data matrix")
         if y.shape[1] != dim:
             raise ConfigError(f"dimension mismatch: {y.shape} vs {e.shape}")
-        weights = 1.0 / (y.shape[0] * np.arange(1, n_comp + 1))
-        scores = np.empty(n_rounds)
+        scorer = RayleighScorer(n_rounds, n_comp, data=y)
         for l in range(n_rounds):
-            proj = y @ rounds[l].T
-            scores[l] = np.einsum("ij,ij->j", proj, proj) @ weights
+            scorer(l + 1, rounds[l])
+        scores = scorer.scores
     return float(scores[0]) if e.ndim == 2 else scores
+
+
+class RayleighScorer:
+    """Round sink that keeps each broadcast's discounted Rayleigh score, not
+    the broadcast: a run over a data file then holds no per-round vectors.
+
+    Round l's score is sum_k v_k^T (Y^T Y / n) v_k / k. It is formed either
+    from `gram` = Y^T Y and the row count `n_rows`, with one product V G
+    per round, or from the rows `data` = Y themselves, with one product
+    Y V^T per round, as `discounted_rayleigh`'s data path does. Y is not
+    checked here: its caller checks it once (`load_matrix`, `as_matrix`).
+    """
+
+    def __init__(self, n_rounds: int, n_workers: int, *, gram=None,
+                 n_rows: int | None = None, data=None):
+        if (gram is None) == (data is None):
+            raise ConfigError("pass exactly one of gram= or data=")
+        self._gram, self._data = gram, data
+        if data is not None:
+            n_rows = data.shape[0]
+        self._weights = 1.0 / (n_rows * np.arange(1, n_workers + 1))
+        self.scores = np.empty(n_rounds)
+
+    def __call__(self, rnd: int, snapshot: np.ndarray) -> None:
+        if self._gram is None:
+            proj = self._data @ snapshot.T
+            squares = np.einsum("ij,ij->j", proj, proj)
+        else:
+            squares = np.einsum("kd,kd->k", snapshot @ self._gram, snapshot)
+        self.scores[rnd - 1] = squares @ self._weights
+
+    def finish(self, final: np.ndarray) -> dict:
+        """The `RunTrace` fields this sink fills."""
+        self.scores.setflags(write=False)
+        return {"final_vectors": final, "scores": self.scores}
 
 
 def spectrum_powerlaw(dim: int) -> np.ndarray:

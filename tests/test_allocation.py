@@ -113,6 +113,42 @@ class TestPostEnginePeaks:
         peak = peak_bytes(lambda: load_pdm1(path))
         assert peak <= payload + 64 * 1024, f"peak {peak} bytes for a {payload} byte payload"
 
+    def test_load_matrix_holds_its_result_and_one_chunk(self, tmp_path):
+        from pardefl import load_matrix, save_pdm1
+        from pardefl.linalg import GRAM_ROWS
+
+        n, d = 4000, 100
+        path = tmp_path / "m.pdm1"
+        save_pdm1(path, np.random.default_rng(0).standard_normal((n, d)))
+        payload = path.stat().st_size - 20
+        peak = peak_bytes(lambda: load_matrix(path))
+        # one chunk's finite mask; a whole-matrix mask would add n * d bytes
+        mask = GRAM_ROWS * d
+        assert peak <= payload + mask + 64 * 1024, (
+            f"peak {peak} bytes for a {payload} byte payload")
+
+    @pytest.mark.parametrize("algorithm, extra", [
+        ("parallel_deflation", {}),
+        ("parallel_deflation", {"solver": "hebb", "eta": 1e-4}),
+        ("sequential_deflation", {}),
+        ("eigengame_alpha", {}),
+        ("eigengame_mu", {}),
+    ], ids=["power", "hebb", "sequential", "alpha", "mu"])
+    def test_dense_data_run_flat_in_rows(self, tmp_path, algorithm, extra):
+        from pardefl import save_pdm1
+        from pardefl.cli import ExperimentConfig, _Problem, run_trial
+
+        d, peak = 16, {}
+        for n_rows in (2000, 32000):
+            path = tmp_path / f"y{n_rows}.pdm1"
+            save_pdm1(path, np.random.default_rng(n_rows).standard_normal((n_rows, d)))
+            cfg = ExperimentConfig(algorithm=algorithm, data=str(path), K=4, L=40,
+                                   T=2, seed=1, out="unused", **extra)
+            # the source is built inside the measured call: Sigma from the file
+            peak[n_rows] = peak_bytes(lambda: run_trial(cfg, _Problem(cfg), 0))
+        # holding the rows would grow the peak by 3.84 MB here
+        assert peak[32000] - peak[2000] <= 64 * 1024, peak
+
     def test_trial_csv_peak_near_twice_its_output(self):
         from pardefl import RunTrace
         from pardefl.cli import _trial_csv

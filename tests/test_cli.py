@@ -1,20 +1,24 @@
 import csv
+import os
 import re
-from dataclasses import fields
+import struct
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pardefl import (attach_oracle, cli, discounted_rayleigh, parallel_deflation,
-                     recovery_error, run_eigengame, save_pdm1,
+from pardefl import (attach_oracle, cli, discounted_rayleigh, load_matrix,
+                     parallel_deflation, recovery_error, run_eigengame, save_pdm1,
                      sequential_deflation, stochastic_parallel_deflation,
                      unit_init)
-from pardefl.cli import (TRIAL_HEADER, ExperimentConfig, _Problem, _trial_csv,
-                         build_config, main, parse_config_file, run_comparison,
+from pardefl.cli import (AGGREGATE_HEADER, TRIAL_HEADER, ExperimentConfig, _Problem,
+                         _trial_csv, build_config, main, parse_config_file, run_comparison,
                          run_experiment, run_theory_report, run_trial)
 from pardefl.errors import (CapacityError, ConfigError, CoverageError,
                             DataFormatError, DegenerateSpectrumError,
                             NumericalError, PardeflError, StreamError)
+from pardefl.linalg import GRAM_ROWS
 
 
 def read_csv(path):
@@ -247,7 +251,8 @@ def stored_vectors(cfg, problem, trial=0):
     seed = cfg.seed + trial
     if cfg.algorithm == "sequential_deflation":
         final = sequential_deflation(problem.sigma, cfg.K, cfg._top1_config(), seed)
-        inits = np.stack([unit_init(seed, k, cfg.d) for k in range(1, cfg.K + 1)])
+        dim = problem.sigma.shape[0]
+        inits = np.stack([unit_init(seed, k, dim) for k in range(1, cfg.K + 1)])
         rounds = np.stack([inits] * cfg.K)
         for rnd in range(1, cfg.K + 1):
             rounds[rnd - 1, :rnd] = final[:rnd]
@@ -255,7 +260,7 @@ def stored_vectors(cfg, problem, trial=0):
     if cfg.algorithm == "parallel_deflation":
         trace = parallel_deflation(problem.sigma, cfg.K, cfg.L, cfg._top1_config(), seed)
     elif cfg.algorithm == "stochastic_parallel_deflation":
-        trace = stochastic_parallel_deflation(problem.provider(seed), cfg.K, cfg.L,
+        trace = stochastic_parallel_deflation(problem.provider(cfg, seed), cfg.K, cfg.L,
                                               cfg.T, cfg._step_schedule(), seed)
     else:
         trace = run_eigengame(cfg.algorithm.rpartition("_")[2], problem.sigma, cfg.K,
@@ -288,10 +293,14 @@ class TestMetricSeries:
             cfg = ExperimentConfig(algorithm=algo, data=str(path), K=3, L=10, T=2,
                                    seed=7, out=str(tmp_path / "o"), **extra)
             problem, trace = traced(cfg)
-            assert problem._sigma is not None, algo
+            # the run holds Sigma and scores each round as it ends
+            assert problem._sigma is not None and problem.data is None, algo
+            assert trace.vectors is None, algo
+            stored = stored_vectors(cfg, problem)
+            assert trace.final_vectors.tobytes() == stored[-1].tobytes(), algo
             got = problem.metric_series(trace)
-            expect = np.array([discounted_rayleigh(v, data=problem.data)
-                               for v in trace.vectors])
+            rows = load_matrix(path)
+            expect = np.array([discounted_rayleigh(v, data=rows) for v in stored])
             assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-13, algo
 
     def test_streaming_file_source_bitwise_per_round(self, tmp_path, rng):
@@ -299,7 +308,10 @@ class TestMetricSeries:
                                data=str(data_file(tmp_path, rng)), K=3, L=6, T=2,
                                batch_size=16, seed=2, out=str(tmp_path / "o"))
         problem, trace = traced(cfg)
-        expect = [discounted_rayleigh(v, data=problem.data) for v in trace.vectors]
+        assert trace.vectors is None
+        stored = stored_vectors(cfg, problem)
+        assert trace.final_vectors.tobytes() == stored[-1].tobytes()
+        expect = [discounted_rayleigh(v, data=problem.data) for v in stored]
         assert problem.metric_series(trace).tolist() == expect
         assert problem._sigma is None
 
@@ -380,6 +392,55 @@ class TestComparison:
         assert by_t == {1: 1200, 5: 240, 10: 120, 40: 30}
         last = {int(r["T"]): int(r["total_steps"]) for r in rows}
         assert set(last.values()) == {1200}
+
+    def test_builds_the_shared_source_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name):
+            fn = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in ("random_covariance", "load_covariance", "load_matrix"):
+            counted(name)
+        cfgs = [small_cfg(algorithm=algo, T=t, trials=2, batch_size=8,
+                          out=str(tmp_path / f"s{i}"))
+                for i, (algo, t) in enumerate((("parallel_deflation", 1),
+                                               ("eigengame_mu", 2),
+                                               ("stochastic_parallel_deflation", 1)))]
+        run_comparison(cfgs, tmp_path / "syn.csv")
+        assert calls == ["random_covariance"]
+        path = data_file(tmp_path, np.random.default_rng(3))
+        dense = [replace(cfg, spectrum=None, d=None, data=str(path),
+                         out=str(tmp_path / f"d{i}")) for i, cfg in enumerate(cfgs[:2])]
+        calls.clear()
+        run_comparison(dense, tmp_path / "dense.csv")
+        assert calls == ["load_covariance"]
+        mixed = dense + [replace(cfgs[2], spectrum=None, d=None, data=str(path),
+                                 out=str(tmp_path / "d2"))]
+        calls.clear()
+        run_comparison(mixed, tmp_path / "mixed.csv")
+        assert calls == ["load_matrix"]
+
+    def test_shared_source_keeps_member_outputs(self, tmp_path):
+        # a dense member scored from Sigma built from kept rows reads the
+        # same bits as one scored from Sigma read from the file
+        path = data_file(tmp_path, np.random.default_rng(4))
+        cfgs = [ExperimentConfig(algorithm=algo, data=str(path), K=3, L=6, T=2,
+                                 batch_size=16, seed=2, trials=2,
+                                 out=str(tmp_path / f"m{i}"))
+                for i, algo in enumerate(("eigengame_alpha", "sequential_deflation",
+                                          "stochastic_parallel_deflation"))]
+        merged = tmp_path / "m.csv"
+        run_comparison(cfgs, merged)
+        solo = [AGGREGATE_HEADER]
+        for cfg in cfgs:
+            result = run_experiment(replace(cfg, out=str(tmp_path / "solo")))
+            solo += result["aggregate"].read_text().splitlines()[1:]
+        assert merged.read_text() == "\n".join(solo) + "\n"
 
     def test_cli_entry(self, tmp_path, capsys):
         c1 = tmp_path / "one.cfg"
@@ -496,6 +557,52 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")])
         assert code == 4
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["parallel_deflation", "sequential_deflation",
+                                           "eigengame_alpha", "eigengame_mu",
+                                           "stochastic_parallel_deflation"])
+    def test_nan_in_last_chunk_is_data_error(self, tmp_path, capsys, algorithm):
+        a = np.ones((2 * GRAM_ROWS + 5, 3))
+        a[-1, 2] = np.nan
+        path = tmp_path / "nan.pdm1"
+        save_pdm1(path, a)
+        code = main(["run", "--algorithm", algorithm, "--data", str(path),
+                     "--K", "1", "--L", "2", "--out", str(tmp_path / "x")])
+        assert code == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "trial_000.csv").exists()
+
+    def test_short_read_and_size_mismatch_are_data_errors(self, tmp_path, capsys,
+                                                          monkeypatch):
+        path = tmp_path / "m.pdm1"
+        save_pdm1(path, np.ones((GRAM_ROWS + 3, 2)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<QQ", GRAM_ROWS + 4, 2) + raw[20:])
+        argv = ["run", "--algorithm", "eigengame_mu", "--data", str(path),
+                "--K", "1", "--L", "2", "--out", str(tmp_path / "x")]
+        assert main(argv) == 4
+        assert "does not match header" in capsys.readouterr().err
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+            st_size=real_fstat(fd).st_size + 16))
+        assert main(argv) == 4
+        assert "payload ended after" in capsys.readouterr().err
+
+    def test_capacity_error_before_any_row_exits_2(self, tmp_path, capsys, monkeypatch):
+        from pardefl import io
+
+        # Sigma of 16,385 columns is over the 2 GiB default cap
+        path = tmp_path / "m.pdm1"
+        save_pdm1(path, np.full((1, 16385), np.nan))
+
+        def no_read(*args):
+            raise AssertionError("a row was read before the capacity check")
+
+        monkeypatch.setattr(io, "_read_rows", no_read)
+        code = main(["run", "--algorithm", "parallel_deflation", "--data", str(path),
+                     "--K", "1", "--L", "2", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "covariance of dimension 16385" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--algorithm", "eigengame_mu"],

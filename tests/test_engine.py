@@ -15,7 +15,8 @@ from pardefl import (ConfigError, EigenSystem, NumericalError, StepSchedule,
                      top1, unit_init)
 from pardefl import engine
 from pardefl.deflation import _round_update
-from pardefl.metrics import gaussian_stream, random_covariance
+from pardefl.metrics import (RayleighScorer, discounted_rayleigh, gaussian_stream,
+                             random_covariance)
 
 # K spans two row blocks, and rounds 1..9 leave workers idle; the reference
 # comparison covers those idle rows too
@@ -250,3 +251,43 @@ class TestRoundSink:
         with pytest.raises(ConfigError, match="needs its errors"):
             engine.RunTrace(algorithm="parallel_deflation", local_steps=1, seed=0,
                             final_vectors=np.eye(2))
+
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("run", SINK_RUNS.values(), ids=SINK_RUNS.keys())
+    def test_rayleigh_scored_run_equals_scored_stored_run(self, problem, run, mode):
+        sigma = problem[0]
+        y = np.random.default_rng(8).standard_normal((50, D)) * np.linspace(2.0, 0.1, D)
+        gram = y.T @ y
+        stored = run(sigma, mode, None)
+        from_rows = run(sigma, mode, RayleighScorer(L, K, data=y))
+        from_gram = run(sigma, mode, RayleighScorer(L, K, gram=gram, n_rows=50))
+        for scored in (from_rows, from_gram):
+            assert scored.vectors is None and scored.errors is None
+            assert not scored.scores.flags.writeable
+            assert scored.final_vectors.tobytes() == stored.final_vectors.tobytes()
+            assert (scored.n_rounds, scored.n_workers, scored.dim) == (L, K, D)
+        # the rows path runs discounted_rayleigh's per-round operations
+        expect = discounted_rayleigh(stored.vectors, data=y)
+        assert from_rows.scores.tobytes() == expect.tobytes()
+        dense = discounted_rayleigh(stored.vectors, sigma=gram / 50)
+        assert np.max(np.abs(from_gram.scores - dense) / dense) <= 1e-13
+
+    def test_rayleigh_scored_trace_has_no_rounds_to_read(self, problem):
+        sigma, truth = problem
+        cfg = Top1Config(steps=2)
+        trace = SINK_RUNS["parallel_deflation"](
+            sigma, "serial", RayleighScorer(L, K, gram=sigma, n_rows=1))
+        assert trace.n_rounds == L
+        for read in (lambda: trace.round_vectors(),
+                     lambda: trace.worker_state(1, 1),
+                     lambda: replay_round(sigma, trace, 2, cfg),
+                     lambda: attach_oracle(trace, truth)):
+            with pytest.raises(ConfigError, match="keeps no per-round vectors"):
+                read()
+
+    def test_rayleigh_scorer_needs_one_source(self, problem):
+        sigma = problem[0]
+        with pytest.raises(ConfigError, match="exactly one of gram= or data="):
+            RayleighScorer(L, K)
+        with pytest.raises(ConfigError, match="exactly one of gram= or data="):
+            RayleighScorer(L, K, gram=sigma, n_rows=3, data=np.ones((3, D)))

@@ -6,8 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pardefl import DataFormatError, load_csv_matrix, load_matrix, load_pdm1, save_pdm1
-from pardefl.io import PDM1_MAGIC
+from pardefl import (CapacityError, DataFormatError, covariance, load_csv_matrix,
+                     load_matrix, load_pdm1, save_pdm1)
+from pardefl.io import PDM1_MAGIC, load_covariance
+from pardefl.linalg import GRAM_ROWS
 
 
 def test_pdm1_round_trip(tmp_path, rng):
@@ -118,3 +120,77 @@ def test_load_matrix_rejects_non_finite(tmp_path):
     for path in (csv_path, pdm1_path):
         with pytest.raises(DataFormatError, match="non-finite"):
             load_matrix(path)
+
+
+CHUNK = GRAM_ROWS
+
+
+def write_matrix(path, a):
+    if path.suffix == ".pdm1":
+        save_pdm1(path, a)
+    else:
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in a.tolist()))
+
+
+@pytest.mark.parametrize("suffix", [".pdm1", ".csv"])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+def test_load_covariance_bitwise_covariance_of_load_matrix(tmp_path, suffix, n):
+    a = np.random.default_rng(n).standard_normal((n, 7)) * np.linspace(3.0, 0.1, 7)
+    path = tmp_path / f"m{suffix}"
+    write_matrix(path, a)
+    sigma, rows = load_covariance(path)
+    assert rows == n
+    assert sigma.tobytes() == covariance(load_matrix(path)).tobytes()
+    assert np.array_equal(sigma, sigma.T)
+
+
+@pytest.mark.parametrize("suffix", [".pdm1", ".csv"])
+def test_load_covariance_rejects_nan_in_the_last_chunk(tmp_path, suffix):
+    a = np.ones((2 * CHUNK + 5, 3))
+    a[-1, 1] = np.nan
+    path = tmp_path / f"m{suffix}"
+    write_matrix(path, a)
+    with pytest.raises(DataFormatError, match=r"m\.(pdm1|csv): data matrix has non-finite"):
+        load_covariance(path)
+
+
+def test_load_covariance_short_read_rejected(tmp_path, monkeypatch):
+    path = tmp_path / "m.pdm1"
+    save_pdm1(path, np.ones((CHUNK + 3, 2)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<QQ", CHUNK + 4, 2) + raw[20:])
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+        st_size=real_fstat(fd).st_size + 16))
+    # the second chunk finds 3 of its 4 rows
+    got, expected = 20 + (CHUNK + 3) * 16, 20 + (CHUNK + 4) * 16
+    with pytest.raises(DataFormatError,
+                       match=f"payload ended after {got} of {expected} bytes"):
+        load_covariance(path)
+
+
+def test_load_covariance_header_over_file_size_rejected(tmp_path):
+    path = tmp_path / "m.pdm1"
+    save_pdm1(path, np.ones((3, 2)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<QQ", 4, 2) + raw[20:])
+    with pytest.raises(DataFormatError, match="does not match header"):
+        load_covariance(path)
+
+
+def test_load_covariance_capacity_checked_before_any_row(tmp_path, monkeypatch):
+    from pardefl import io
+
+    # one row of 16,385 columns: a 131 KB file whose 16,385^2 doubles of
+    # Sigma are over the 2 GiB default cap
+    path = tmp_path / "m.pdm1"
+    a = np.ones((1, 16385))
+    a[0, 0] = np.nan  # would be a data error once the row is read
+    save_pdm1(path, a)
+
+    def no_read(*args):
+        raise AssertionError("a row was read before the capacity check")
+
+    monkeypatch.setattr(io, "_read_rows", no_read)
+    with pytest.raises(CapacityError, match="covariance of dimension 16385"):
+        load_covariance(path)

@@ -25,6 +25,24 @@ class TestCovariance:
         with pytest.raises(CapacityError):
             covariance(np.ones((2, 64)), max_bytes=1000)
 
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_sums_fixed_row_chunks(self, n):
+        y = np.random.default_rng(n).standard_normal((n, 9))
+        total = np.zeros((9, 9))
+        for lo in range(0, n, linalg.GRAM_ROWS):
+            chunk = y[lo:lo + linalg.GRAM_ROWS]
+            total += chunk.T @ chunk
+        got = covariance(y)
+        assert got.tobytes() == ((total + total.T) / 2.0).tobytes()
+        whole = y.T @ y
+        assert np.max(np.abs(got - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+    def test_non_finite_in_a_later_chunk(self):
+        y = np.ones((linalg.GRAM_ROWS + 2, 3))
+        y[-1, 0] = np.inf
+        with pytest.raises(ConfigError, match="data matrix has non-finite entries"):
+            covariance(y)
+
     def test_psd_property(self, rng):
         for _ in range(20):
             n, d = int(rng.integers(1, 12)), int(rng.integers(1, 10))
