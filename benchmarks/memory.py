@@ -15,8 +15,12 @@ the module for the call, as perfbench does, and each is a phase:
                the round ends (oracle distances on a synthetic source, the
                discounted Rayleigh score on a file)
     metric     _Problem.metric_series
-    trial_csv  _trial_csv
-    write      atomic_write_text (trial and aggregate files)
+    trial_csv  atomic_write_bytes, which draws `_trial_csv`'s pieces and
+               so formats and writes each trial CSV a round at a time (in
+               a tree without it on cli, the `_trial_csv` call that builds
+               the whole text)
+    write      atomic_write_text: aggregate.csv (and, in a tree without
+               atomic_write_bytes on cli, the trial files)
     aggregate  _aggregate_rows
 
 A phase's `peak_mb` is the highest traced memory while it ran: what the
@@ -69,7 +73,8 @@ PHASES = {
     "load_covariance": "sigma",
     "parallel_deflation": "engine", "stochastic_parallel_deflation": "engine",
     "run_eigengame": "engine",
-    "_trial_csv": "trial_csv", "atomic_write_text": "write",
+    "_trial_csv": "trial_csv", "atomic_write_bytes": "trial_csv",
+    "atomic_write_text": "write",
     "_aggregate_rows": "aggregate",
 }
 

@@ -30,7 +30,7 @@ from .deflation import parallel_deflation, sequential_deflation
 from .eigengame import run_eigengame
 from .engine import MODES, OracleScorer, RunTrace
 from .errors import ConfigError, PardeflError
-from .io import atomic_write_text, load_covariance, load_matrix
+from .io import atomic_write_bytes, atomic_write_text, load_covariance, load_matrix
 from .linalg import covariance
 from .metrics import (RayleighScorer, gaussian_stream, random_covariance,
                       spectrum_expdecay, spectrum_powerlaw)
@@ -264,24 +264,24 @@ def run_trial(cfg: ExperimentConfig, problem: _Problem, trial: int) -> RunTrace:
                          seed=trial_seed, mode=cfg.mode, on_round=sink)
 
 
-def _trial_csv(trace: RunTrace, metric: np.ndarray, trial: int) -> str:
-    """The trial CSV text: TRIAL_HEADER, then one row per round and worker.
+def _trial_csv(trace: RunTrace, metric: np.ndarray, trial: int):
+    """The trial CSV text in pieces: TRIAL_HEADER's line, then one piece per
+    round holding that round's row for each worker.
 
-    Each round is formatted into one string as it comes and the rounds are
-    joined once, so the call holds little more than twice its output.
+    A generator, so the caller can write each round as it is formatted and
+    no whole-file string exists; the metric is read a value at a time, so
+    what it holds does not grow with the number of rounds.
     """
     steps = trace.local_steps
     workers = [f"{k}," for k in range(1, trace.n_workers + 1)]
-    pieces = [TRIAL_HEADER]
-    for l, value in enumerate(metric.tolist()):
+    yield TRIAL_HEADER + "\n"
+    for l, value in enumerate(map(float, metric)):
         head = f"{trial},{trace.algorithm},{steps},{l + 1},{steps * (l + 1)},"
-        tail = f",{value!r}"
+        tail = f",{value!r}\n"
         # a round's rows differ only in their "worker,error" cells
         cells = (workers if trace.errors is None
                  else map(str.__add__, workers, map(repr, trace.errors[l].tolist())))
-        pieces.append(head + (tail + "\n" + head).join(cells) + tail)
-    pieces.append("")  # the trailing newline
-    return "\n".join(pieces)
+        yield head + (tail + head).join(cells) + tail
 
 
 def _aggregate_rows(cfg: ExperimentConfig, stack: np.ndarray) -> list[str]:
@@ -312,7 +312,7 @@ def run_experiment(cfg: ExperimentConfig, problem: _Problem | None = None) -> di
         metric = problem.metric_series(trace)
         series.append(metric)
         path = outdir / f"trial_{trial:03d}.csv"
-        atomic_write_text(path, _trial_csv(trace, metric, trial))
+        atomic_write_bytes(path, map(str.encode, _trial_csv(trace, metric, trial)))
         paths.append(path)
     stack = np.stack(series)
     aggregate = outdir / "aggregate.csv"

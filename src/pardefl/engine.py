@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .io import atomic_write_text, save_pdm1
+from .io import atomic_write_bytes, save_pdm1
 from .linalg import EigenSystem
 from .seeding import unit_init
 
@@ -358,20 +358,26 @@ def attach_oracle(trace: RunTrace, truth: EigenSystem,
 
 def export_trace_csv(trace: RunTrace, path) -> None:
     """Write `round,worker,error,active` rows (plus `variant` for game runs)
-    and a sidecar PDM1 file holding the final broadcast vectors."""
+    and a sidecar PDM1 file holding the final broadcast vectors. The rows
+    are formatted and written a round at a time."""
     header = ["round", "worker", "error", "active"]
     if trace.variant is not None:
         header.append("variant")
     active = trace.active()
-    lines = [",".join(header)]
-    for l in range(trace.n_rounds):
-        for k in range(trace.n_workers):
-            err = "" if trace.errors is None else repr(float(trace.errors[l, k]))
-            row = [str(l + 1), str(k + 1), err, str(int(active[l, k]))]
-            if trace.variant is not None:
-                row.append(trace.variant)
-            lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+    def rounds():
+        yield ",".join(header) + "\n"
+        for l in range(trace.n_rounds):
+            lines = []
+            for k in range(trace.n_workers):
+                err = "" if trace.errors is None else repr(float(trace.errors[l, k]))
+                row = [str(l + 1), str(k + 1), err, str(int(active[l, k]))]
+                if trace.variant is not None:
+                    row.append(trace.variant)
+                lines.append(",".join(row) + "\n")
+            yield "".join(lines)
+
+    atomic_write_bytes(path, map(str.encode, rounds()))
     save_pdm1(Path(path).with_suffix(".pdm1"), trace.final_vectors)
 
 

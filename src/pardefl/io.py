@@ -19,19 +19,29 @@ from .linalg import GRAM_ROWS, gram, row_chunks
 PDM1_MAGIC = b"PDM1"
 
 
-def atomic_write_bytes(path, *chunks) -> None:
-    """Write the chunks (bytes-like objects) in order to a temp file, then
-    rename it over `path`."""
+def atomic_write_bytes(path, chunks) -> None:
+    """Write an iterable of bytes-like chunks in order to a temp file, then
+    rename it over `path`.
+
+    The chunks are drawn one at a time, so a generator can format a file
+    while it is written without the whole file ever being held. If anything
+    fails, a chunk's producer included, the temp file is removed and `path`
+    is left as it was.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, (text.encode("utf-8"),))
 
 
 def save_pdm1(path, array) -> None:
@@ -42,7 +52,7 @@ def save_pdm1(path, array) -> None:
     if a.ndim != 2:
         raise DataFormatError(f"PDM1 stores 2-d matrices, got ndim={a.ndim}")
     header = PDM1_MAGIC + struct.pack("<QQ", a.shape[0], a.shape[1])
-    atomic_write_bytes(path, header, a.reshape(-1).view(np.uint8))
+    atomic_write_bytes(path, (header, a.reshape(-1).view(np.uint8)))
 
 
 def _pdm1_shape(fh, path) -> tuple[int, int]:

@@ -18,6 +18,8 @@ GRAM_ROWS = 256
 
 _SYM_RTOL = 1e-12
 _ORTHO_TOL = 1e-8
+# rows of V V^T formed at a time by the EigenSystem check
+_ORTHO_ROWS = 64
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -165,20 +167,19 @@ def sign_align(v, ref) -> np.ndarray:
     return -vv if float(vv @ rr) < 0.0 else vv
 
 
-def _canonical_sign(rows: np.ndarray) -> np.ndarray:
-    out = rows.copy()
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0.0:
-            out[i] = -out[i]
-    return out
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Full eigendecomposition: values non-increasing, rows of `vectors` are
     the unit eigenvectors, sign-normalized so the largest-magnitude entry of
-    each vector is non-negative (ties broken by lowest index)."""
+    each vector is non-negative (ties broken by lowest index).
+
+    The vectors are copied once into a private C-ordered array, whose signs
+    are fixed in place, and V V^T = I is checked _ORTHO_ROWS rows at a time,
+    so building one holds the copy plus a block of V V^T, not a second
+    d x d array: `metrics.random_covariance` relies on this to build Sigma
+    in three d x d arrays. tests/test_allocation.py::TestPostEnginePeaks::
+    test_eigensystem_holds_its_copy_and_one_block pins that peak.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
@@ -186,17 +187,24 @@ class EigenSystem:
     def __post_init__(self):
         # as_vector may return the caller's own array; freeze a copy of it
         values = as_vector(self.values, "eigenvalues").copy()
-        vectors = as_matrix(self.vectors, "eigenvector matrix")
+        vectors = as_matrix(np.array(self.vectors, dtype=np.float64, order="C"),
+                            "eigenvector matrix")
         if vectors.shape[0] != values.shape[0]:
             raise ConfigError("eigensystem shape mismatch")
-        vectors = _canonical_sign(vectors)
+        for row in vectors:
+            if row[np.argmax(np.abs(row))] < 0.0:
+                np.negative(row, out=row)
         if np.any(np.diff(values) > 0.0):
             raise ConfigError("eigenvalues must be non-increasing")
-        # max |V V^T - I|, formed in the Gram matrix's own buffer
-        gram = vectors @ vectors.T
-        gram[np.diag_indices_from(gram)] -= 1.0
-        if float(np.max(np.abs(gram, out=gram))) > _ORTHO_TOL:
-            raise NumericalError("eigenvectors are not orthonormal to 1e-8")
+        # max |V V^T - I|, a block of rows at a time in one reused buffer
+        n = vectors.shape[0]
+        buf = np.empty((min(_ORTHO_ROWS, n), n))
+        for lo in range(0, n, _ORTHO_ROWS):
+            block = np.matmul(vectors[lo:lo + _ORTHO_ROWS], vectors.T, out=buf[:n - lo])
+            rows = np.arange(block.shape[0])
+            block[rows, lo + rows] -= 1.0
+            if float(np.max(np.abs(block, out=block))) > _ORTHO_TOL:
+                raise NumericalError("eigenvectors are not orthonormal to 1e-8")
         values.setflags(write=False)
         vectors.setflags(write=False)
         object.__setattr__(self, "values", values)

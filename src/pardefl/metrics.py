@@ -10,6 +10,7 @@ so the ground-truth eigensystem is known by construction.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConfigError
 from .linalg import EigenSystem, as_matrix, check_unit, reference_eigh, sym_matrix
@@ -132,18 +133,34 @@ def random_covariance(spectrum, seed: int,
 
     rotation "haar" draws Q from the orthogonal group (QR of a Gaussian
     matrix with the sign-fixed diagonal); "identity" keeps Q = I, which is
-    the diagonal test hook. Signs are flipped in place and Sigma is
-    symmetrized into the buffer of Q Lambda once the product is formed, so
-    the call holds at most a few d x d arrays at a time.
+    the diagonal test hook.
+
+    The QR runs as the two LAPACK gufuncs `np.linalg.qr` itself calls:
+    `qr_r_raw` factors the drawn matrix in place and `qr_reduced` forms Q
+    from it. That skips `np.linalg.qr`'s copy of its input and its triu R;
+    R's diagonal, which fixes the signs, is read from the factored matrix
+    before it is freed. Signs are flipped in place, Sigma is symmetrized
+    into the buffer of Q Lambda, and Q is dropped once the eigensystem
+    holds its own copy, so the call holds at most three d x d arrays at a
+    time. The gufuncs are private to numpy: a numpy that changes them fails
+    tests/test_metrics.py::TestRandomCovariance::
+    test_bitwise_equal_to_the_plain_formula, which compares Sigma and the
+    truth bit for bit with the `np.linalg.qr` construction.
     """
     lam = validate_spectrum(spectrum)
     d = lam.size
     if rotation == "identity":
         q = np.eye(d)
     elif rotation == "haar":
-        q, r = np.linalg.qr(rng_for(seed).standard_normal((d, d)))
-        signs = np.sign(np.diag(r))
-        del r
+        a = rng_for(seed).standard_normal((d, d))
+        # like np.linalg.qr, ignore the flags LAPACK may raise; where qr
+        # would raise on a failed factorization, the NaN that leaves in Q
+        # is rejected by EigenSystem
+        with np.errstate(all="ignore"):
+            tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+            q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+        signs = np.sign(np.diagonal(a))  # R's diagonal, left in a
+        del a
         signs[signs == 0.0] = 1.0
         q *= signs[None, :]
     else:
@@ -153,7 +170,7 @@ def random_covariance(spectrum, seed: int,
     np.add(product, product.T, out=sigma)
     del product
     sigma /= 2.0
-    return np.ascontiguousarray(sigma), EigenSystem(values=lam, vectors=q.T)
+    return sigma, EigenSystem(values=lam, vectors=q.T)
 
 
 def gaussian_stream(sigma_or_truth, batch_size: int,

@@ -149,17 +149,50 @@ class TestPostEnginePeaks:
         # holding the rows would grow the peak by 3.84 MB here
         assert peak[32000] - peak[2000] <= 64 * 1024, peak
 
-    def test_trial_csv_peak_near_twice_its_output(self):
+    def test_trial_csv_write_flat_in_rounds(self, tmp_path):
         from pardefl import RunTrace
         from pardefl.cli import _trial_csv
+        from pardefl.io import atomic_write_bytes
 
         rng = np.random.default_rng(0)
-        n_rounds, k = 400, 10
-        metric = rng.random(n_rounds)
-        for errors in (rng.random((n_rounds, k)), None):
-            trace = RunTrace(algorithm="parallel_deflation", local_steps=1, seed=0,
-                             vectors=np.zeros((n_rounds, k, 3)), errors=errors)
-            text = []
-            peak = peak_bytes(lambda: text.append(_trial_csv(trace, metric, 0)))
-            assert peak <= 2.5 * len(text[0]), (
-                f"peak {peak} bytes for {len(text[0])} characters of output")
+        k = 10
+        for with_errors in (True, False):
+            peak = {}
+            for n_rounds in (50, 2000):
+                metric = rng.random(n_rounds)
+                errors = rng.random((n_rounds, k)) if with_errors else None
+                trace = RunTrace(algorithm="parallel_deflation", local_steps=1, seed=0,
+                                 vectors=np.zeros((n_rounds, k, 3)), errors=errors)
+                path = tmp_path / f"trial_{n_rounds}.csv"
+                peak[n_rounds] = peak_bytes(lambda: atomic_write_bytes(
+                    path, map(str.encode, _trial_csv(trace, metric, 0))))
+            # the L=2000 file is over 1 MB with errors; it is written a round
+            # at a time
+            assert peak[2000] - peak[50] <= 16 * 1024, (with_errors, peak)
+
+    def test_run_experiment_holds_no_whole_trial_csv(self, tmp_path):
+        from pardefl.cli import ExperimentConfig, _Problem, run_experiment
+
+        peak = {}
+        for n_rounds in (50, 2000):
+            cfg = ExperimentConfig(algorithm="parallel_deflation", spectrum="powerlaw",
+                                   d=16, K=8, L=n_rounds, seed=1, mode="serial",
+                                   out=str(tmp_path / str(n_rounds)))
+            problem = _Problem(cfg)
+            peak[n_rounds] = peak_bytes(lambda: run_experiment(cfg, problem))
+        # the errors and the aggregate rows grow with L; the trial CSV, as
+        # a str and then as bytes, would add twice its size
+        trial_bytes = (tmp_path / "2000" / "trial_000.csv").stat().st_size
+        assert peak[2000] - peak[50] < trial_bytes, (peak, trial_bytes)
+
+    def test_eigensystem_holds_its_copy_and_one_block(self):
+        from pardefl import EigenSystem
+
+        d = 400
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d)))
+        values = np.linspace(2.0, 0.1, d)
+        for vectors in (q.T, np.ascontiguousarray(q.T)):
+            peak = peak_bytes(lambda: EigenSystem(values=values, vectors=vectors))
+            # one private copy, then its finite mask or a block of V V^T;
+            # a second copy or the whole V V^T would add a d x d
+            assert peak < 1.25 * d * d * 8, peak / (d * d * 8)

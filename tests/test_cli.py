@@ -223,7 +223,7 @@ class TestRunExperiment:
 
 
 def reference_trial_csv(trace, metric, trial):
-    """Per-row formatter: the reference for `_trial_csv`'s one-pass output."""
+    """Per-row formatter: the reference for `_trial_csv`'s joined pieces."""
     lines = [TRIAL_HEADER]
     for l in range(trace.n_rounds):
         for k in range(trace.n_workers):
@@ -324,7 +324,8 @@ class TestTrialCsv:
         stored = cli.RunTrace(algorithm=cfg.algorithm, local_steps=cfg.T, seed=cfg.seed,
                               vectors=stored_vectors(cfg, problem))
         assert trace.errors.tobytes() == attach_oracle(stored, problem.truth).errors.tobytes()
-        assert _trial_csv(trace, metric, 4) == reference_trial_csv(trace, metric, 4)
+        got = "".join(_trial_csv(trace, metric, 4))
+        assert got == reference_trial_csv(trace, metric, 4)
 
     def test_matches_per_row_formatter_without_errors(self, tmp_path, rng):
         cfg = ExperimentConfig(algorithm="eigengame_mu",
@@ -333,7 +334,8 @@ class TestTrialCsv:
         problem, trace = traced(cfg)
         metric = problem.metric_series(trace)
         assert trace.errors is None
-        assert _trial_csv(trace, metric, 0) == reference_trial_csv(trace, metric, 0)
+        got = "".join(_trial_csv(trace, metric, 0))
+        assert got == reference_trial_csv(trace, metric, 0)
 
 
 def reference_aggregate_rows(cfg, stack):

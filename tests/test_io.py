@@ -8,7 +8,7 @@ import pytest
 
 from pardefl import (CapacityError, DataFormatError, covariance, load_csv_matrix,
                      load_matrix, load_pdm1, save_pdm1)
-from pardefl.io import PDM1_MAGIC, load_covariance
+from pardefl.io import PDM1_MAGIC, atomic_write_bytes, load_covariance
 from pardefl.linalg import GRAM_ROWS
 
 
@@ -81,6 +81,31 @@ def test_pdm1_empty_matrix_rejected(tmp_path, shape):
     with pytest.raises(DataFormatError,
                        match=rf"empty PDM1 matrix \({shape[0]} x {shape[1]}\)"):
         load_pdm1(path)
+
+
+@pytest.mark.parametrize("existing", [b"old\n", None], ids=["replace", "new"])
+def test_atomic_write_failing_midway_leaves_no_temp_file(tmp_path, existing):
+    path = tmp_path / "out.csv"
+    if existing is not None:
+        path.write_bytes(existing)
+
+    def chunks():
+        yield b"first\n"
+        raise RuntimeError("formatter failed")
+
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        atomic_write_bytes(path, chunks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if existing is None else ["out.csv"])
+    if existing is not None:
+        assert path.read_bytes() == existing
+
+
+def test_atomic_write_streams_its_chunks_in_order(tmp_path):
+    path = tmp_path / "out.bin"
+    atomic_write_bytes(path, (bytes([i]) * 3 for i in range(4)))
+    assert path.read_bytes() == b"\x00\x00\x00\x01\x01\x01\x02\x02\x02\x03\x03\x03"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 def test_csv_round_trip(tmp_path):

@@ -229,6 +229,17 @@ class TestEigenSystem:
             EigenSystem(values=np.array([2.0, 1.0]),
                         vectors=np.array([[1.0, 0.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad_row", [3, 140])
+    def test_rejects_non_orthonormal_rows_in_any_block(self, bad_row):
+        # 150 rows span three blocks of the row-blocked V V^T check
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((200, 200)))
+        vectors = q.T[:150].copy()
+        values = np.linspace(2.0, 0.5, 150)
+        EigenSystem(values=values, vectors=vectors)
+        vectors[bad_row] = (vectors[bad_row] + vectors[bad_row - 1]) / np.sqrt(2.0)
+        with pytest.raises(NumericalError):
+            EigenSystem(values=values, vectors=vectors)
+
     @pytest.mark.parametrize("values, vectors", [
         ([1.0], [1.0, 0.0]),
         ([1.0], np.ones((1, 2, 2))),

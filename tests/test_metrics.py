@@ -171,7 +171,8 @@ class TestRandomCovariance:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("d", [5, 120])
+    # 301: odd and above 256, so the QR runs blocked LAPACK code paths
+    @pytest.mark.parametrize("d", [5, 120, 301])
     def test_bitwise_equal_to_the_plain_formula(self, d):
         from pardefl import EigenSystem, rng_for
 
@@ -197,8 +198,8 @@ class TestRandomCovariance:
         random_covariance(spec, seed=1)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        # the QR holds about four d x d arrays; the result two
-        assert peak <= 4.5 * d * d * 8, peak / (d * d * 8)
+        # Sigma, Q and the truth's copy of Q, plus a block of the check
+        assert peak <= 3.5 * d * d * 8, peak / (d * d * 8)
 
     def test_rejects_bad_spectrum(self):
         with pytest.raises(ConfigError):
