@@ -28,7 +28,7 @@ import numpy as np
 
 from .deflation import parallel_deflation, sequential_deflation
 from .eigengame import run_eigengame
-from .engine import MODES, OracleScorer, RunTrace
+from .engine import MODES, OracleScorer, RunTrace, run_round_synchronous
 from .errors import ConfigError, PardeflError
 from .io import atomic_write_bytes, atomic_write_text, load_covariance, load_matrix
 from .linalg import covariance
@@ -39,7 +39,6 @@ from .metrics import (RayleighScorer, gaussian_stream, random_covariance,
 # module.
 from .engine import attach_oracle  # noqa: F401
 from .metrics import discounted_rayleigh, recovery_error  # noqa: F401
-from .seeding import unit_init
 from .solvers import POWER_ITERATION, Top1Config
 from .stochastic import (MatrixRowProvider, StepSchedule,
                          stochastic_parallel_deflation)
@@ -225,17 +224,14 @@ class _Problem:
 
 def _sequential_trace(cfg: ExperimentConfig, sigma, trial_seed: int,
                       sink) -> RunTrace:
-    """Present a sequential run as K rounds, one component completed per
-    round, fed to the round sink as the engines feed theirs."""
+    """Present a sequential run as K rounds of the shared round driver, one
+    component completed per round, fed to the round sink as the engines
+    feed theirs."""
     final = sequential_deflation(sigma, cfg.K, cfg._top1_config(), trial_seed)
-    dim = sigma.shape[0]
-    snapshot = np.stack([unit_init(trial_seed, k, dim) for k in range(1, cfg.K + 1)])
-    for rnd in range(1, cfg.K + 1):
-        snapshot[rnd - 1] = final[rnd - 1]
-        sink(rnd, snapshot)
-    snapshot.setflags(write=False)
-    return RunTrace(algorithm="sequential_deflation", local_steps=cfg.T,
-                    seed=trial_seed, **sink.finish(snapshot))
+    return run_round_synchronous(
+        dim=sigma.shape[0], n_workers=cfg.K, n_rounds=cfg.K, seed=trial_seed,
+        update=lambda rnd, active: lambda lo, hi: final[lo:hi],
+        algorithm="sequential_deflation", local_steps=cfg.T, on_round=sink)
 
 
 def _require_rounds(cfg: ExperimentConfig) -> None:

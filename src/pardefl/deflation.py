@@ -72,12 +72,12 @@ def _round_update(sigma, cfg: Top1Config, top1_fn=None):
             eta=cfg.eta if cfg.method == HEBB else None,
             align=cfg.sign_align_output)
 
-    def update(rnd, prev):
+    def update(rnd, active):
         def block(lo, hi):
-            rows = np.empty((hi - lo, prev.shape[1]))
+            rows = np.empty((hi - lo, active.shape[1]))
             for r in range(lo, hi):
                 try:
-                    v = as_vector(top1_fn(_deflate(sigma, prev[:r]), prev[r]),
+                    v = as_vector(top1_fn(_deflate(sigma, active[:r]), active[r]),
                                   "top1_fn output")
                     check_unit(v, name="top1_fn output")
                 except PardeflError as exc:

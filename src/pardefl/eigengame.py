@@ -59,7 +59,8 @@ def eigengame_mu_grad(sigma, v, peers) -> np.ndarray:
 
 
 def _default_eta(sm: np.ndarray, seed: int) -> float:
-    """`default_eigengame_eta` on a checked, exactly symmetric matrix."""
+    """0.1 over a power-iteration estimate of the top eigenvalue of a
+    checked, exactly symmetric matrix."""
     v0 = rng_for(seed, ETA_STREAM).standard_normal(sm.shape[0])
     v0 /= max(float(np.linalg.norm(v0)), 1e-300)
     v = _top1(_nonzero(sm), v0, Top1Config(steps=64))
@@ -67,11 +68,6 @@ def _default_eta(sm: np.ndarray, seed: int) -> float:
     if lam < 1e-300:
         raise NumericalError("cannot size a step for a numerically zero matrix")
     return 0.1 / lam
-
-
-def default_eigengame_eta(sigma, seed: int) -> float:
-    """0.1 over a power-iteration estimate of the top eigenvalue."""
-    return _default_eta(sym_matrix(sigma), seed)
 
 
 def run_eigengame(variant: EigenGameVariant, sigma, n_components: int,

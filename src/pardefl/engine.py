@@ -11,7 +11,8 @@ of that immutable snapshot.
 the engine's update for the new vectors of every active block; thread mode
 maps the same blocks onto at most min(n_blocks, cpu count) threads. Serial
 mode, thread mode and `deflation.replay_round` therefore issue the same
-calls on the same operands and produce bitwise identical rounds. Each
+calls on the same operands and produce bitwise identical rounds. (The
+streaming update steps all active rows at once on the calling thread.) Each
 round's broadcast then goes to a round sink: `StoredRounds`, the default,
 keeps the (L, K, d) trace; `OracleScorer` keeps only the round's (K,)
 recovery errors and `metrics.RayleighScorer` its discounted Rayleigh
@@ -207,13 +208,14 @@ def row_blocks(n_workers: int) -> list[tuple[int, int]]:
 def next_round(update, rnd: int, prev: np.ndarray, map_fn=map) -> np.ndarray:
     """Broadcast state after round `rnd`, computed from the snapshot `prev`.
 
-    `update(rnd, prev)` prepares the round and returns `block(lo, hi)`, the
-    new vectors of worker rows lo..hi-1 (workers lo+1..hi), all active.
-    Inactive rows keep their previous broadcast, their frozen initial vector.
-    `map_fn` runs the active blocks, serially or on a thread pool.
+    `update(rnd, active)` gets the active rows `prev[:min(rnd, K)]`,
+    prepares the round and returns `block(lo, hi)`, the new vectors of
+    active rows lo..hi-1 (workers lo+1..hi). Inactive rows keep their
+    previous broadcast, their frozen initial vector. `map_fn` runs the
+    active blocks, serially or on a thread pool.
     """
     n_active = min(rnd, prev.shape[0])
-    block = update(rnd, prev)
+    block = update(rnd, prev[:n_active])
     spans = [(lo, min(hi, n_active)) for lo, hi in row_blocks(prev.shape[0])
              if lo < n_active]
     cur = prev.copy()
@@ -225,12 +227,12 @@ def next_round(update, rnd: int, prev: np.ndarray, map_fn=map) -> np.ndarray:
 def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
                           algorithm, local_steps, variant=None,
                           mode="serial", on_round=None) -> RunTrace:
-    """Drive `update(round, snapshot) -> block(lo, hi)` across all rounds.
+    """Drive `update(round, active) -> block(lo, hi)` across all rounds.
 
-    `snapshot` is the read-only (K, d) broadcast state of the previous round
-    (round 0 holds the frozen initial vectors); see `next_round`. Thread
-    mode runs the active row blocks of a round on at most
-    min(n_blocks, cpu count) threads. It checks the run's shape for every
+    `active` is the active rows of the read-only (K, d) broadcast state of
+    the previous round (round 0 holds the frozen initial vectors); see
+    `next_round`. Thread mode runs the active row blocks of a round on at
+    most min(n_blocks, cpu count) threads. It checks the run's shape for every
     round-synchronous engine: 1 <= K <= d, T >= 1 and L >= K.
 
     `on_round(rnd, broadcast)` receives each round's read-only broadcast
@@ -304,12 +306,11 @@ def dense_round_update(sigma: np.ndarray, penalty: str, *, steps: int,
         raise ConfigError(f"unknown dense penalty {penalty!r}")
     step_size = None if eta is None else (lambda t: eta)
 
-    def update(rnd, prev):
-        n_active = min(rnd, prev.shape[0])
+    def update(rnd, active):
         # rows v_j Sigma of the active snapshot; they also serve the first
         # step's X Sigma
-        v_sigma = prev[:n_active] @ sigma
-        peers, peers_sigma = prev[: n_active - 1], v_sigma[: n_active - 1]
+        v_sigma = active @ sigma
+        peers, peers_sigma = active[:-1], v_sigma[:-1]
         rq = np.einsum("ij,ij->i", peers_sigma, peers)
         if penalty == "deflation":
             a, b, scale = peers, peers, rq
@@ -331,9 +332,9 @@ def dense_round_update(sigma: np.ndarray, penalty: str, *, steps: int,
             def terms(t, x):
                 return (v_sigma[lo:hi] if t == 1 else x @ sigma), weights, a[:m], b[:m]
 
-            x = block_steps(prev[lo:hi], lo, rnd, steps, terms, step_size)
+            x = block_steps(active[lo:hi], lo, rnd, steps, terms, step_size)
             if align:
-                x[np.einsum("ij,ij->i", x, prev[lo:hi]) < 0.0] *= -1.0
+                x[np.einsum("ij,ij->i", x, active[lo:hi]) < 0.0] *= -1.0
             return x
 
         return block

@@ -37,10 +37,10 @@ def discounted_rayleigh(est, sigma=None, data=None):
 
     `est` is a (K, d) stack, scored as one float, or an (L, K, d) stack of
     L rounds, scored as an (L,) array in one call. Exactly one of `sigma` /
-    `data` must be set. The sigma path scores every round from one product
-    V S. The data path never forms S: per round it evaluates
-    sum_k ||Y v_k||^2 / (n k), i.e. the quadratic form of the row-averaged
-    Gram matrix Y^T Y / n, from one product Y V^T; Y is validated once.
+    `data` must be set. The rounds are replayed through a `RayleighScorer`,
+    so a stack scores bitwise as its rounds do, one product V S per round,
+    or, never forming S, one product Y V^T per round: the quadratic form
+    sum_k ||Y v_k||^2 / (n k) of the row-averaged Gram matrix Y^T Y / n.
     A non-unit estimate is named by its position in the stack, counted
     round by round.
     """
@@ -49,26 +49,16 @@ def discounted_rayleigh(est, sigma=None, data=None):
         raise ConfigError("estimates must be a (K, d) or (L, K, d) stack")
     rounds = e if e.ndim == 3 else e[None]
     n_rounds, n_comp, dim = rounds.shape
-    flat = rounds.reshape(-1, dim)
-    check_unit(flat, name="estimate vector")
+    check_unit(rounds.reshape(-1, dim), name="estimate vector")
     if (sigma is None) == (data is None):
         raise ConfigError("pass exactly one of sigma= or data=")
     if sigma is not None:
-        sm = sym_matrix(sigma)
-        if sm.shape[0] != dim:
-            raise ConfigError(f"dimension mismatch: {sm.shape} vs {e.shape}")
-        v_sigma = (flat @ sm).reshape(rounds.shape)
-        scores = np.einsum("lkd,lkd->lk", v_sigma, rounds) @ (
-            1.0 / np.arange(1, n_comp + 1))
+        scorer = RayleighScorer(n_rounds, n_comp, gram=sym_matrix(sigma), n_rows=1)
     else:
-        y = as_matrix(data, "data matrix")
-        if y.shape[1] != dim:
-            raise ConfigError(f"dimension mismatch: {y.shape} vs {e.shape}")
-        scorer = RayleighScorer(n_rounds, n_comp, data=y)
-        for l in range(n_rounds):
-            scorer(l + 1, rounds[l])
-        scores = scorer.scores
-    return float(scores[0]) if e.ndim == 2 else scores
+        scorer = RayleighScorer(n_rounds, n_comp, data=as_matrix(data, "data matrix"))
+    for l, snapshot in enumerate(rounds, 1):
+        scorer(l, snapshot)
+    return float(scorer.scores[0]) if e.ndim == 2 else scorer.scores
 
 
 class RayleighScorer:
@@ -78,8 +68,9 @@ class RayleighScorer:
     Round l's score is sum_k v_k^T (Y^T Y / n) v_k / k. It is formed either
     from `gram` = Y^T Y and the row count `n_rows`, with one product V G
     per round, or from the rows `data` = Y themselves, with one product
-    Y V^T per round, as `discounted_rayleigh`'s data path does. Y is not
-    checked here: its caller checks it once (`load_matrix`, `as_matrix`).
+    Y V^T per round. Neither G nor Y is checked here beyond its shape: its
+    caller checks it once (`sym_matrix`, `load_matrix`, `as_matrix`). A
+    broadcast of another shape than (n_workers, d) is a ConfigError.
     """
 
     def __init__(self, n_rounds: int, n_workers: int, *, gram=None,
@@ -88,11 +79,20 @@ class RayleighScorer:
             raise ConfigError("pass exactly one of gram= or data=")
         self._gram, self._data = gram, data
         if data is not None:
-            n_rows = data.shape[0]
+            n_rows, dim = data.shape
+        else:
+            shape = np.shape(gram)
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ConfigError(f"gram must be a square matrix, got shape {shape}")
+            dim = shape[0]
+        self._shape = (n_workers, dim)
         self._weights = 1.0 / (n_rows * np.arange(1, n_workers + 1))
         self.scores = np.empty(n_rounds)
 
     def __call__(self, rnd: int, snapshot: np.ndarray) -> None:
+        if snapshot.shape != self._shape:
+            raise ConfigError(f"dimension mismatch: broadcast {snapshot.shape}, "
+                              f"scorer {self._shape}")
         if self._gram is None:
             proj = self._data @ snapshot.T
             squares = np.einsum("ij,ij->j", proj, proj)

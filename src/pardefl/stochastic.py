@@ -2,27 +2,26 @@
 
 The covariance matrix never exists here. Each local step pulls one batch Y,
 read by every active worker, as the players of model-parallel EigenGame
-read one shared minibatch. A block of worker rows X with peer prefix P runs
-the engine's block step (`engine.block_steps`) with the batch operator:
+read one shared minibatch. Each round the active worker rows X, with peers
+P = every active row but the last, run the engine's block step
+(`engine.block_steps`) as one block with the batch operator:
 X Op = (X Y^T) Y, A = B = P, and each peer's eigenvalue estimated as
 lam_hat_j = ||Y p_j||^2 from one product Y P^T, at the scheduled step size.
-A step costs O((n + m) d) per row and allocates no d x d buffer; the block
-broadcasts at the end of the round.
+A step costs O((n + m) d) per row and allocates no d x d buffer; the rows
+broadcast at the end of the round.
 
 Batch providers are pull-based and replayable: batch(worker, round, step)
-is a pure function of the provider seed and that index triple, so threaded
-execution cannot reorder consumption. The engine reads the batch keyed by
-worker 1 at each (round, step), so a step reads K times fewer samples than
-one batch per worker would; a run with more than `engine.BLOCK_ROWS` workers
-fetches that same batch once per row block. Every batch, the one that
-sizes an unset eta0 included, goes through `_fetch_batch`: a failing
-source or a wrong shape is a StreamError.
+is a pure function of the provider seed and that index triple. The engine
+reads the batch keyed by worker 1 at each (round, step), once per step,
+so a step reads K times fewer samples than one batch per worker would.
+Every batch, the one that sizes an unset eta0 included, goes through
+`_fetch_batch`: a failing source or a wrong shape is a StreamError.
 
-The first row block draws its step batches ahead of the update: up to
-`PREFETCH_WINDOW` keys are in flight on at most `PREFETCH_THREADS` helper
-threads, which the run starts and joins itself, and are consumed in key
-order. So `batch` may be called ahead of its step and concurrently, from a
-helper thread, in serial and thread mode alike; it must be a pure,
+The step batches are drawn ahead of the update: up to `PREFETCH_WINDOW`
+keys are in flight on at most `PREFETCH_THREADS` helper threads, which the
+run starts and joins itself, and are consumed in key order by the calling
+thread, in serial and thread mode alike. So `batch` may be called ahead of
+its step and concurrently, from a helper thread; it must be a pure,
 thread-safe function of its key. A batch's error surfaces only when its
 step is reached, so an earlier step's NumericalError still wins.
 """
@@ -40,7 +39,7 @@ from .errors import ConfigError, NumericalError, StreamError
 from .linalg import as_matrix, as_vector, peer_stack
 from .seeding import ETA_STREAM, rng_for
 
-PREFETCH_WINDOW = 3  # step batches in flight while the first row block waits
+PREFETCH_WINDOW = 3  # step batches in flight while the update waits
 PREFETCH_THREADS = 2  # helper threads that draw them, never one per worker
 
 
@@ -255,30 +254,29 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
     """Streaming parallel deflation, every worker reading one shared batch per
     local step; deterministic given the seed. The schedule is resolved as
     round 1 starts, after `run_round_synchronous` has checked K, T and L.
-    The first row block reads its batches from `_prefetch`; no helper thread
-    outlives the call, whether it returns or raises. `on_round` is the round
-    sink of `run_round_synchronous`."""
+    Each round steps all active rows as one block on the calling thread, in
+    either mode, reading each step's batch once from `_prefetch`; no helper
+    thread outlives the call, whether it returns or raises. `on_round` is
+    the round sink of `run_round_synchronous`."""
     eta_at = None
     batches = _prefetch(provider, n_rounds, local_steps)
 
-    def update(rnd, prev):
+    def update(rnd, active):
         nonlocal eta_at
         if eta_at is None:
             eta_at = resolve_schedule(schedule, provider, n_rounds * local_steps, seed)
+        m = active.shape[0] - 1  # peers of the last active row
+        mask, peers = np.tri(m + 1, m, k=-1), active[:m]
 
-        def block(lo, hi):
-            m = hi - 1  # peers of the block's last row
-            mask, peers = np.tri(hi - lo, m, k=lo - 1), prev[:m]
+        def terms(t, x):
+            y = next(batches)
+            yp = y @ peers.T
+            weights = mask * np.einsum("ij,ij->j", yp, yp) if m else None
+            return (x @ y.T) @ y, weights, peers, peers
 
-            def terms(t, x):
-                y = next(batches) if lo == 0 else _fetch_batch(provider, 1, rnd, t)
-                yp = y @ peers.T
-                weights = mask * np.einsum("ij,ij->j", yp, yp) if m else None
-                return (x @ y.T) @ y, weights, peers, peers
-
-            return block_steps(prev[lo:hi], lo, rnd, local_steps, terms,
-                               lambda t: eta_at((rnd - 1) * local_steps + (t - 1)))
-        return block
+        rows = block_steps(active, 0, rnd, local_steps, terms,
+                           lambda t: eta_at((rnd - 1) * local_steps + (t - 1)))
+        return lambda lo, hi: rows[lo:hi]
 
     try:
         return run_round_synchronous(

@@ -15,6 +15,7 @@ from pardefl import (attach_oracle, cli, discounted_rayleigh, load_matrix,
 from pardefl.cli import (AGGREGATE_HEADER, TRIAL_HEADER, ExperimentConfig, _Problem,
                          _trial_csv, build_config, main, parse_config_file, run_comparison,
                          run_experiment, run_theory_report, run_trial)
+from pardefl.engine import OracleScorer
 from pardefl.errors import (CapacityError, ConfigError, CoverageError,
                             DataFormatError, DegenerateSpectrumError,
                             NumericalError, PardeflError, StreamError)
@@ -91,6 +92,12 @@ class TestCheckedAtLoad:
         pytest.param({"solver": "bogus"}, "solver", id="solver-bogus"),
         pytest.param({"schedule": "bogus"}, "schedule", id="schedule-bogus"),
         pytest.param({"mode": "bogus"}, "mode", id="mode-bogus"),
+        pytest.param({"algorithm": "bogus"}, "algorithm", id="algorithm-bogus"),
+        pytest.param({"spectrum": "bogus"}, "spectrum", id="spectrum-bogus"),
+        pytest.param({"d": "0"}, "positive d", id="d-0"),
+        pytest.param({"K": "0"}, "K must be >= 1", id="K-0"),
+        pytest.param({"seed": "-1"}, "seed", id="seed-negative"),
+        pytest.param({"K": "two"}, "field 'K'", id="K-uncoercible"),
     ])
     def test_rejected_before_output(self, tmp_path, capsys, as_file, values, named):
         values = {**VALID, **values, "out": tmp_path / "x"}
@@ -113,6 +120,25 @@ class TestCheckedAtLoad:
         bad = write_cfg(tmp_path / "bad.cfg",
                         {k: v for k, v in bad.items() if v is not None})
         code = main(["compare", str(good), str(bad), "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_config_line_without_equals_sign(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("spectrum=powerlaw\nd 6\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "bad.cfg:2: expected key=value, got 'd 6'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("second,named", [
+        pytest.param({"K": "3"}, "share K", id="other-K"),
+        pytest.param({}, "duplicate (algorithm, T) pair", id="duplicate-pair"),
+    ])
+    def test_compare_refuses_mixed_members(self, tmp_path, capsys, second, named):
+        first = write_cfg(tmp_path / "a.cfg", {**VALID, "out": tmp_path / "o1"})
+        other = write_cfg(tmp_path / "b.cfg", {**VALID, **second, "out": tmp_path / "o2"})
+        code = main(["compare", str(first), str(other), "--out", str(tmp_path / "c.csv")])
         assert code == 2
         assert named in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
@@ -314,6 +340,28 @@ class TestMetricSeries:
         expect = [discounted_rayleigh(v, data=problem.data) for v in stored]
         assert problem.metric_series(trace).tolist() == expect
         assert problem._sigma is None
+
+
+def test_sequential_sink_gets_each_round_read_only(tmp_path):
+    """A sequential run's sink sees K read-only rounds, round l holding the
+    first l components and the other workers' initial vectors, none of
+    them changed after the sink returns."""
+    cfg = small_cfg(algorithm="sequential_deflation", K=4, trials=1, out=str(tmp_path))
+    problem = _Problem(cfg)
+    seen = []
+
+    class Keeping(OracleScorer):
+        def __call__(self, rnd, snapshot):
+            seen.append((snapshot, snapshot.copy()))
+            super().__call__(rnd, snapshot)
+
+    cli._sequential_trace(cfg, problem.sigma, cfg.seed,
+                          Keeping(problem.truth, cfg.K, cfg.K))
+    rounds = stored_vectors(cfg, problem)
+    assert len(seen) == cfg.K
+    for (snapshot, copy), expect in zip(seen, rounds):
+        assert not snapshot.flags.writeable
+        assert snapshot.tobytes() == copy.tobytes() == expect.tobytes()
 
 
 class TestTrialCsv:

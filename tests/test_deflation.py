@@ -128,6 +128,27 @@ class TestParallelDeflation:
         assert busy.rounds_active == 5
         assert abs(np.linalg.norm(busy.v_current) - 1.0) <= 1e-12
 
+    def test_worker_state_out_of_range_refused(self):
+        sigma, _ = random_covariance(np.array([1.0, 0.5, 0.25, 0.125]), seed=8)
+        trace = parallel_deflation(sigma, 3, 5, Top1Config(steps=2), seed=21)
+        for k, rnd, text in ((0, 1, "worker"), (4, 1, "worker"),
+                             (1, 0, "round"), (1, 6, "round")):
+            with pytest.raises(ConfigError, match=rf"^{text} .*must lie in \[1, "):
+                trace.worker_state(k, rnd)
+
+    def test_replay_round_out_of_range_refused(self):
+        sigma, _ = random_covariance(np.array([1.0, 0.55, 0.3, 0.1]), seed=9)
+        cfg = Top1Config(steps=3)
+        trace = parallel_deflation(sigma, 3, 8, cfg, seed=4)
+        for rnd in (1, 9):
+            with pytest.raises(ConfigError, match=rf"^can only replay rounds 2\.\.8, "
+                                                  rf"got {rnd}$"):
+                replay_round(sigma, trace, rnd, cfg)
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ConfigError, match="^unknown engine mode 'bogus'$"):
+            parallel_deflation(np.eye(3), 2, 3, Top1Config(), seed=0, mode="bogus")
+
     def test_replay_round_bitwise(self):
         sigma, _ = random_covariance(np.array([1.0, 0.55, 0.3, 0.1]), seed=9)
         cfg = Top1Config(steps=3)

@@ -285,6 +285,21 @@ class TestRoundSink:
             with pytest.raises(ConfigError, match="keeps no per-round vectors"):
                 read()
 
+    @pytest.mark.parametrize("width", [D - 1, D + 1])
+    @pytest.mark.parametrize("source", ["gram", "data"])
+    def test_rayleigh_scorer_refuses_a_wrong_width(self, problem, source, width):
+        sink = (RayleighScorer(L, K, gram=np.eye(width), n_rows=1) if source == "gram"
+                else RayleighScorer(L, K, data=np.ones((5, width))))
+        with pytest.raises(ConfigError, match=rf"^dimension mismatch: broadcast "
+                                              rf"\({K}, {D}\), scorer \({K}, {width}\)$"):
+            SINK_RUNS["parallel_deflation"](problem[0], "serial", sink)
+
+    @pytest.mark.parametrize("gram", [np.ones(D), np.ones((D, D + 1))],
+                             ids=["vector", "non-square"])
+    def test_rayleigh_scorer_refuses_a_non_square_gram(self, gram):
+        with pytest.raises(ConfigError, match="gram must be a square matrix"):
+            RayleighScorer(L, K, gram=gram, n_rows=1)
+
     def test_rayleigh_scorer_needs_one_source(self, problem):
         sigma = problem[0]
         with pytest.raises(ConfigError, match="exactly one of gram= or data="):

@@ -109,6 +109,14 @@ class TestDiscountedRayleigh:
         expect = [discounted_rayleigh(r, data=y) for r in rounds]
         assert discounted_rayleigh(rounds, data=y).tolist() == expect
 
+    def test_round_stack_sigma_path_bitwise_per_round(self, rng):
+        y = rng.standard_normal((300, 40))
+        sigma = covariance(y) / 300
+        rounds = rng.standard_normal((50, 8, 40))
+        rounds /= np.linalg.norm(rounds, axis=2, keepdims=True)
+        expect = [discounted_rayleigh(r, sigma=sigma) for r in rounds]
+        assert discounted_rayleigh(rounds, sigma=sigma).tolist() == expect
+
     def test_rejects_other_ranks(self):
         with pytest.raises(ConfigError, match="stack"):
             discounted_rayleigh(np.array([1.0, 0.0]), sigma=np.eye(2))

@@ -11,7 +11,6 @@ from pardefl import (ConfigError, FullBatchProvider, GaussianStreamProvider,
                      covariance, deflate, deflated_matvec, matvec, normalize,
                      parallel_deflation, reference_eigh,
                      stochastic_parallel_deflation, unit_init)
-from pardefl.engine import row_blocks
 from pardefl.metrics import gaussian_stream, random_covariance, spectrum_powerlaw
 from pardefl.stochastic import PREFETCH_THREADS, resolve_schedule
 
@@ -321,16 +320,15 @@ class TestSharedBatchRound:
         assert all(worker == 1 for worker, _, _ in prov.keys)
 
     def test_each_active_block_fetches_the_step_batch(self):
-        # K=10: one active row block up to round 8, two from round 9 on;
-        # every block re-fetches the same (pure) batch of a step
+        # K=10 spans two row blocks from round 9 on, but the active rows step
+        # as one block: each (round, step) batch is drawn once, and (1, 1, 1)
+        # once more to size the unset eta0
         prov = self.Counting(12)
         stochastic_parallel_deflation(prov, 10, 10, 2, StepSchedule(), seed=1)
         counts = Counter(prov.keys)
         assert set(counts) == {(1, rnd, t) for rnd in range(1, 11) for t in (1, 2)}
         for (_, rnd, t), n in counts.items():
-            eta0_batch = (rnd, t) == (1, 1)
-            active = sum(lo < min(rnd, 10) for lo, _ in row_blocks(10))
-            assert n == active + eta0_batch
+            assert n == 1 + ((rnd, t) == (1, 1)), (rnd, t)
 
 
 class Jittered(GaussianStreamProvider):
