@@ -230,7 +230,7 @@ def _sequential_trace(cfg: ExperimentConfig, sigma, trial_seed: int,
     final = sequential_deflation(sigma, cfg.K, cfg._top1_config(), trial_seed)
     return run_round_synchronous(
         dim=sigma.shape[0], n_workers=cfg.K, n_rounds=cfg.K, seed=trial_seed,
-        update=lambda rnd, active: lambda lo, hi: final[lo:hi],
+        update=lambda rnd, active: final[:rnd],
         algorithm="sequential_deflation", local_steps=cfg.T, on_round=sink)
 
 

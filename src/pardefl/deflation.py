@@ -13,9 +13,9 @@ procedures coincide when the inputs to the rank-1 terms are exact
 eigenvectors.
 
 The engine never builds Sigma_{k,l}: `engine.dense_round_update` applies it
-matrix-free to a block of worker rows, a few GEMMs per local step. Only
-`top1_fn` validation runs hand each worker its deflated matrix, built by
-`_deflate`, the unchecked core of `deflate`.
+matrix-free to all active worker rows at once, a few GEMMs per local step.
+Only `top1_fn` validation runs hand each worker its deflated matrix, built
+by `_deflate`, the unchecked core of `deflate`.
 """
 
 import numpy as np
@@ -73,18 +73,16 @@ def _round_update(sigma, cfg: Top1Config, top1_fn=None):
             align=cfg.sign_align_output)
 
     def update(rnd, active):
-        def block(lo, hi):
-            rows = np.empty((hi - lo, active.shape[1]))
-            for r in range(lo, hi):
-                try:
-                    v = as_vector(top1_fn(_deflate(sigma, active[:r]), active[r]),
-                                  "top1_fn output")
-                    check_unit(v, name="top1_fn output")
-                except PardeflError as exc:
-                    raise NumericalError(f"worker {r + 1}, round {rnd}: {exc}") from exc
-                rows[r - lo] = v
-            return rows
-        return block
+        rows = np.empty(active.shape)
+        for r in range(active.shape[0]):
+            try:
+                v = as_vector(top1_fn(_deflate(sigma, active[:r]), active[r]),
+                              "top1_fn output")
+                check_unit(v, name="top1_fn output")
+            except PardeflError as exc:
+                raise NumericalError(f"worker {r + 1}, round {rnd}: {exc}") from exc
+            rows[r] = v
+        return rows
 
     return update
 
@@ -96,9 +94,9 @@ def parallel_deflation(sigma, n_components: int, n_rounds: int,
 
     top1_fn optionally replaces the configured solver with any callable
     (deflated_matrix, warm_start) -> vector, e.g. `solvers.exact_top1` for
-    oracle-exact validation runs. Deterministic given the seed; `mode` picks
-    serial or threaded execution of the per-round worker updates, with
-    bitwise identical results. `on_round` is the round sink of
+    oracle-exact validation runs. Deterministic given the seed; `mode`
+    "serial" and "thread" both run each round as one update on the calling
+    thread and give bitwise identical results. `on_round` is the round sink of
     `engine.run_round_synchronous`.
     """
     sm = sym_matrix(sigma)

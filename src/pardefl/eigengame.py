@@ -2,7 +2,7 @@
 
 Both variants run on the same round/activation/broadcast skeleton and the
 same batched update as parallel deflation (`engine.dense_round_update`);
-only the penalty term of the per-step gradient differs. For a block of
+only the penalty term of the per-step gradient differs. For the active
 worker rows X and the snapshot V the gradients are
 
     mu:    G = X Sigma - (M o (X Sigma V^T)) V

@@ -6,19 +6,17 @@ recomputes its estimate each round from the previous round's broadcast
 snapshot. Within a round the worker updates are independent pure functions
 of that immutable snapshot.
 
-`run_round_synchronous` splits the workers into fixed row blocks of
-`BLOCK_ROWS` rows, a partition that depends only on K. Each round it asks
-the engine's update for the new vectors of every active block; thread mode
-maps the same blocks onto at most min(n_blocks, cpu count) threads. Serial
-mode, thread mode and `deflation.replay_round` therefore issue the same
-calls on the same operands and produce bitwise identical rounds. (The
-streaming update steps all active rows at once on the calling thread.) Each
+`run_round_synchronous` computes each round as one batched update of all
+active workers, on the calling thread, in serial and thread mode alike, so
+the two modes and `deflation.replay_round` issue the same calls on the same
+operands and produce bitwise identical rounds. The only parallelism within
+a round is that of the BLAS inside each product over the K rows. Each
 round's broadcast then goes to a round sink: `StoredRounds`, the default,
 keeps the (L, K, d) trace; `OracleScorer` keeps only the round's (K,)
 recovery errors and `metrics.RayleighScorer` its discounted Rayleigh
 score, so a scored run holds O(Kd) per round, not the trace.
 
-`block_steps` runs the local steps of a block of worker rows X for every
+`block_steps` runs the local steps of the active worker rows X for every
 round-synchronous engine. Per step, without any d x d allocation, it forms
 
     G = X Op - (W o (X A^T)) B,
@@ -32,8 +30,6 @@ scale 1 / diag(V Sigma V^T). The streaming engine uses Op = Y^T Y per batch.
 """
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -45,7 +41,6 @@ from .linalg import EigenSystem
 from .seeding import unit_init
 
 MODES = ("serial", "thread")
-BLOCK_ROWS = 8  # worker rows per block; fixed so every mode issues the same calls
 
 
 @dataclass(frozen=True)
@@ -199,47 +194,37 @@ class OracleScorer:
                 "oracle_reliable": self.reliable}
 
 
-def row_blocks(n_workers: int) -> list[tuple[int, int]]:
-    """Fixed [lo, hi) row blocks of the workers; they depend only on K."""
-    return [(lo, min(lo + BLOCK_ROWS, n_workers))
-            for lo in range(0, n_workers, BLOCK_ROWS)]
-
-
-def next_round(update, rnd: int, prev: np.ndarray, map_fn=map) -> np.ndarray:
+def next_round(update, rnd: int, prev: np.ndarray) -> np.ndarray:
     """Broadcast state after round `rnd`, computed from the snapshot `prev`.
 
-    `update(rnd, active)` gets the active rows `prev[:min(rnd, K)]`,
-    prepares the round and returns `block(lo, hi)`, the new vectors of
-    active rows lo..hi-1 (workers lo+1..hi). Inactive rows keep their
-    previous broadcast, their frozen initial vector. `map_fn` runs the
-    active blocks, serially or on a thread pool.
+    `update(rnd, active)` gets the active rows `prev[:min(rnd, K)]` and
+    returns their new vectors. Inactive rows keep their previous broadcast,
+    their frozen initial vector.
     """
     n_active = min(rnd, prev.shape[0])
-    block = update(rnd, prev[:n_active])
-    spans = [(lo, min(hi, n_active)) for lo, hi in row_blocks(prev.shape[0])
-             if lo < n_active]
+    rows = update(rnd, prev[:n_active])
+    # copied after the update, so its scratch and the copy are never both held
     cur = prev.copy()
-    for (lo, hi), rows in zip(spans, map_fn(lambda span: block(*span), spans)):
-        cur[lo:hi] = rows
+    cur[:n_active] = rows
     return cur
 
 
 def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
                           algorithm, local_steps, variant=None,
                           mode="serial", on_round=None) -> RunTrace:
-    """Drive `update(round, active) -> block(lo, hi)` across all rounds.
+    """Drive `update(round, active) -> new active rows` across all rounds.
 
     `active` is the active rows of the read-only (K, d) broadcast state of
     the previous round (round 0 holds the frozen initial vectors); see
-    `next_round`. Thread mode runs the active row blocks of a round on at
-    most min(n_blocks, cpu count) threads. It checks the run's shape for every
-    round-synchronous engine: 1 <= K <= d, T >= 1 and L >= K.
+    `next_round`. Every round runs on the calling thread; `mode` "serial"
+    and "thread" give the same calls and so bitwise the same trace. It
+    checks the run's shape for every round-synchronous engine: 1 <= K <= d,
+    T >= 1 and L >= K.
 
     `on_round(rnd, broadcast)` receives each round's read-only broadcast
     once the round ends, and its `finish(final)` gives the trace's fields
     (`StoredRounds`, the default, `OracleScorer` or
-    `metrics.RayleighScorer`). It runs on the calling thread, in round
-    order, in either mode.
+    `metrics.RayleighScorer`). It runs in round order.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown engine mode {mode!r}")
@@ -254,25 +239,16 @@ def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
     prev.setflags(write=False)
 
     sink = StoredRounds(n_rounds, n_workers, dim) if on_round is None else on_round
-    pool = None
-    if mode == "thread":
-        pool = ThreadPoolExecutor(
-            max_workers=min(len(row_blocks(n_workers)), os.cpu_count() or 1))
-    try:
-        for rnd in range(1, n_rounds + 1):
-            prev = next_round(update, rnd, prev,
-                              map if pool is None else pool.map)
-            prev.setflags(write=False)
-            sink(rnd, prev)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+    for rnd in range(1, n_rounds + 1):
+        prev = next_round(update, rnd, prev)
+        prev.setflags(write=False)
+        sink(rnd, prev)
     return RunTrace(algorithm=algorithm, local_steps=local_steps, seed=seed,
                     variant=variant, **sink.finish(prev))
 
 
-def block_steps(x, lo, rnd, steps, terms, eta=None) -> np.ndarray:
-    """Run `steps` local steps on the block of worker rows x, from row lo, in round rnd.
+def block_steps(x, rnd, steps, terms, eta=None) -> np.ndarray:
+    """Run `steps` local steps on the active worker rows x in round rnd.
 
     `terms(t, X)` gives step t's X Op, peer weights W (None without peers)
     and peers A, B. A row x goes to G/||G|| if eta is None (power iteration),
@@ -286,7 +262,7 @@ def block_steps(x, lo, rnd, steps, terms, eta=None) -> np.ndarray:
         norms = np.sqrt(np.einsum("ij,ij->i", g, g))
         for i, nrm in enumerate(norms.tolist()):
             if not 1e-300 <= nrm < np.inf:
-                raise NumericalError(f"worker {lo + i + 1}, round {rnd}, step {t}: "
+                raise NumericalError(f"worker {i + 1}, round {rnd}, step {t}: "
                                      "update collapsed to zero or non-finite")
         x = g / norms[:, None]
     return x
@@ -324,20 +300,16 @@ def dense_round_update(sigma: np.ndarray, penalty: str, *, steps: int,
                     f"worker {j + 2}, round {rnd}: peer {j + 1} has vanishing "
                     f"Rayleigh quotient {float(rq[j])!r}")
             a, b, scale = peers_sigma, peers_sigma, 1.0 / rq
+        m = peers.shape[0]
+        weights = np.tri(m + 1, m, k=-1) * scale if m else None
 
-        def block(lo, hi):
-            m = hi - 1  # peers of the block's last row
-            weights = np.tri(hi - lo, m, k=lo - 1) * scale[:m] if m else None
+        def terms(t, x):
+            return (v_sigma if t == 1 else x @ sigma), weights, a, b
 
-            def terms(t, x):
-                return (v_sigma[lo:hi] if t == 1 else x @ sigma), weights, a[:m], b[:m]
-
-            x = block_steps(active[lo:hi], lo, rnd, steps, terms, step_size)
-            if align:
-                x[np.einsum("ij,ij->i", x, active[lo:hi]) < 0.0] *= -1.0
-            return x
-
-        return block
+        x = block_steps(active, rnd, steps, terms, step_size)
+        if align:
+            x[np.einsum("ij,ij->i", x, active) < 0.0] *= -1.0
+        return x
 
     return update
 

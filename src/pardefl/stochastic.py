@@ -3,8 +3,8 @@
 The covariance matrix never exists here. Each local step pulls one batch Y,
 read by every active worker, as the players of model-parallel EigenGame
 read one shared minibatch. Each round the active worker rows X, with peers
-P = every active row but the last, run the engine's block step
-(`engine.block_steps`) as one block with the batch operator:
+P = every active row but the last, run the engine's step loop
+(`engine.block_steps`) as one batched update with the batch operator:
 X Op = (X Y^T) Y, A = B = P, and each peer's eigenvalue estimated as
 lam_hat_j = ||Y p_j||^2 from one product Y P^T, at the scheduled step size.
 A step costs O((n + m) d) per row and allocates no d x d buffer; the rows
@@ -20,9 +20,10 @@ Every batch, the one that sizes an unset eta0 included, goes through
 The step batches are drawn ahead of the update: up to `PREFETCH_WINDOW`
 keys are in flight on at most `PREFETCH_THREADS` helper threads, which the
 run starts and joins itself, and are consumed in key order by the calling
-thread, in serial and thread mode alike. So `batch` may be called ahead of
-its step and concurrently, from a helper thread; it must be a pure,
-thread-safe function of its key. A batch's error surfaces only when its
+thread, which runs the update, in serial and thread mode alike. They are
+the only threads a run adds. So `batch` may be called ahead of its step
+and concurrently, from a helper thread; it must be a pure, thread-safe
+function of its key. A batch's error surfaces only when its
 step is reached, so an earlier step's NumericalError still wins.
 """
 
@@ -254,10 +255,10 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
     """Streaming parallel deflation, every worker reading one shared batch per
     local step; deterministic given the seed. The schedule is resolved as
     round 1 starts, after `run_round_synchronous` has checked K, T and L.
-    Each round steps all active rows as one block on the calling thread, in
-    either mode, reading each step's batch once from `_prefetch`; no helper
-    thread outlives the call, whether it returns or raises. `on_round` is
-    the round sink of `run_round_synchronous`."""
+    Each round steps all active rows as one batched update on the calling
+    thread, in either mode, reading each step's batch once from `_prefetch`;
+    no helper thread outlives the call, whether it returns or raises.
+    `on_round` is the round sink of `run_round_synchronous`."""
     eta_at = None
     batches = _prefetch(provider, n_rounds, local_steps)
 
@@ -274,9 +275,8 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
             weights = mask * np.einsum("ij,ij->j", yp, yp) if m else None
             return (x @ y.T) @ y, weights, peers, peers
 
-        rows = block_steps(active, 0, rnd, local_steps, terms,
+        return block_steps(active, rnd, local_steps, terms,
                            lambda t: eta_at((rnd - 1) * local_steps + (t - 1)))
-        return lambda lo, hi: rows[lo:hi]
 
     try:
         return run_round_synchronous(

@@ -150,7 +150,7 @@ class TestNonFiniteCollapse:
     def test_streaming_names_a_second_block_row(self):
         # Zero batches keep every worker on its initial vector until round 9.
         # Then one huge row orthogonal to workers 1..8 overflows worker 9 only,
-        # the first row of the second block of BLOCK_ROWS=8.
+        # so the error must name worker 9, the ninth row of one batched update.
         init = np.stack([pd.unit_init(0, k, 10) for k in range(1, 10)])
         basis = np.linalg.svd(init[:8])[2][8:]
         w = pd.normalize(basis.T @ (basis @ init[8]))

@@ -150,12 +150,15 @@ class TestParallelDeflation:
             parallel_deflation(np.eye(3), 2, 3, Top1Config(), seed=0, mode="bogus")
 
     def test_replay_round_bitwise(self):
-        sigma, _ = random_covariance(np.array([1.0, 0.55, 0.3, 0.1]), seed=9)
         cfg = Top1Config(steps=3)
-        trace = parallel_deflation(sigma, 3, 8, cfg, seed=4)
-        for rnd in (2, 4, 8):
-            assert np.array_equal(replay_round(sigma, trace, rnd, cfg),
-                                  trace.vectors[rnd - 1])
+        for spectrum, k, n_rounds, rounds in (
+                (np.array([1.0, 0.55, 0.3, 0.1]), 3, 8, (2, 4, 8)),
+                (0.8 ** np.arange(20), 16, 18, (2, 9, 16, 18))):
+            sigma, _ = random_covariance(spectrum, seed=9)
+            trace = parallel_deflation(sigma, k, n_rounds, cfg, seed=4)
+            for rnd in rounds:
+                assert np.array_equal(replay_round(sigma, trace, rnd, cfg),
+                                      trace.vectors[rnd - 1])
 
     def test_same_seed_bitwise_reproducible(self):
         sigma, _ = random_covariance(np.array([1.0, 0.5, 0.2]), seed=10)
@@ -165,11 +168,12 @@ class TestParallelDeflation:
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_serial_thread_bitwise(self):
-        sigma, _ = random_covariance(0.5 ** np.arange(10), seed=12)
         cfg = Top1Config(steps=2)
-        a = parallel_deflation(sigma, 4, 9, cfg, seed=5, mode="serial")
-        b = parallel_deflation(sigma, 4, 9, cfg, seed=5, mode="thread")
-        assert np.array_equal(a.vectors, b.vectors)
+        for d, k, n_rounds in ((10, 4, 9), (20, 16, 18)):
+            sigma, _ = random_covariance(0.5 ** np.arange(d), seed=12)
+            a = parallel_deflation(sigma, k, n_rounds, cfg, seed=5, mode="serial")
+            b = parallel_deflation(sigma, k, n_rounds, cfg, seed=5, mode="thread")
+            assert np.array_equal(a.vectors, b.vectors)
 
     def test_matches_sequential_at_large_t(self):
         spec = 0.5 ** np.arange(12)

@@ -1,9 +1,9 @@
 """The batched dense round against a per-worker reference, its error
-messages, the run-shape checks, the bounded thread pool of
-`run_round_synchronous`, its round sinks, and `attach_oracle` against the
-whole-array distances."""
+messages, the run-shape checks, the round sinks of
+`run_round_synchronous`, and `attach_oracle` against the whole-array
+distances."""
 
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -18,8 +18,8 @@ from pardefl.deflation import _round_update
 from pardefl.metrics import (RayleighScorer, discounted_rayleigh, gaussian_stream,
                              random_covariance)
 
-# K spans two row blocks, and rounds 1..9 leave workers idle; the reference
-# comparison covers those idle rows too
+# rounds 1..9 leave workers idle; the reference comparison covers those
+# idle rows too
 D, K, L = 24, 10, 12
 
 
@@ -125,29 +125,23 @@ def test_run_shape_checked_before_any_batch():
         stochastic_parallel_deflation(Down(), 4, 5, 1, StepSchedule(), seed=0)
 
 
-def test_thread_pool_bounded_by_blocks_and_cores(sigma, monkeypatch):
-    sizes = []
-    real = engine.ThreadPoolExecutor
+def test_thread_mode_starts_no_thread(sigma):
+    # a round is one update on the calling thread in either mode, so the
+    # count read as each round ends stays at the count before the run
+    before = threading.active_count()
+    counts = []
 
-    def recording(max_workers):
-        sizes.append(max_workers)
-        return real(max_workers=max_workers)
+    class Counting(engine.StoredRounds):
+        def __call__(self, rnd, snapshot):
+            counts.append(threading.active_count())
+            super().__call__(rnd, snapshot)
 
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", recording)
     cfg = Top1Config(steps=2)
-    threaded = parallel_deflation(sigma, 16, 18, cfg, seed=8, mode="thread")
+    threaded = parallel_deflation(sigma, 16, 18, cfg, seed=8, mode="thread",
+                                  on_round=Counting(18, 16, D))
     serial = parallel_deflation(sigma, 16, 18, cfg, seed=8, mode="serial")
-    n_blocks = len(engine.row_blocks(16))
-    assert n_blocks == -(-16 // engine.BLOCK_ROWS)
-    assert sizes == [min(n_blocks, os.cpu_count() or 1)]
+    assert counts == [before] * 18
     assert np.array_equal(threaded.vectors, serial.vectors)
-
-
-def test_row_blocks_depend_only_on_k():
-    assert engine.row_blocks(1) == [(0, 1)]
-    blocks = engine.row_blocks(2 * engine.BLOCK_ROWS + 3)
-    assert [hi - lo for lo, hi in blocks] == [engine.BLOCK_ROWS, engine.BLOCK_ROWS, 3]
-    assert blocks[0][0] == 0 and all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
 
 
 def _oracle(d, seed=0):

@@ -4,7 +4,23 @@ import pytest
 from pardefl import (ConfigError, DegenerateSpectrumError, NumericalError,
                      Top1Config, contraction_estimate, exact_top1, hebb,
                      normalize, pow_iter, top1)
+from pardefl.linalg import _eigh
 from pardefl.metrics import random_covariance, spectrum_expdecay
+
+
+def _hadamard_covariance(spectrum):
+    """Q diag(spectrum) Q^T with Q the 16 x 16 Hadamard matrix over 4, whose
+    entries are +-1/4. For these dyadic spectra every product and sum is
+    exact, so column k of Q is exactly an eigenvector of the result."""
+    h = np.array([[1.0]])
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    q = h / 4.0
+    return (q * spectrum) @ q.T, q
+
+
+def _sign_free_distance(x, u):
+    return min(float(np.max(np.abs(x - u))), float(np.max(np.abs(x + u))))
 
 
 def tan_to_axis(v, u):
@@ -165,6 +181,39 @@ class TestTop1Dispatch:
         # a large negative eigenvalue dominates
         e1 = np.array([1.0, 0.0])
         assert np.array_equal(exact_top1(np.diag([-2.0, 1.0]), e1), e1)
+
+    @pytest.mark.parametrize("gap", [2.0 ** -10, 2.0 ** -20], ids=["1e-3", "1e-6"])
+    def test_exact_top1_near_tied_spectrum(self, gap):
+        # two inverse-iteration solves leave up to 9e-8 at the 1e-6 gap
+        sigma, q = _hadamard_covariance(
+            np.concatenate([[1.0, 1.0 - gap], 2.0 ** -np.arange(1, 15)]))
+        for seed in range(5):
+            v0 = normalize(np.random.default_rng(seed).standard_normal(16))
+            got = exact_top1(sigma, v0)
+            assert _sign_free_distance(got, q[:, 0]) <= 1e-10
+            assert float(got @ v0) >= 0.0
+
+    def test_exact_top1_plus_minus_tie_takes_the_positive(self):
+        # eigvalsh returns -2 and 2 only up to rounding; either sign of the
+        # matrix must still pick the eigenvector of +2
+        sigma, q = _hadamard_covariance(
+            np.concatenate([[2.0, -2.0], 2.0 ** -np.arange(1, 15)]))
+        v0 = normalize(np.random.default_rng(0).standard_normal(16))
+        assert _sign_free_distance(exact_top1(sigma, v0), q[:, 0]) <= 1e-12
+        assert _sign_free_distance(exact_top1(-sigma, v0), q[:, 1]) <= 1e-12
+
+    def test_exact_top1_singular_shift_falls_back_to_eigh(self):
+        # the zero matrix makes lambda and the shift 0, an exactly singular solve
+        v0 = normalize(np.array([1.0, 2.0, 3.0]))
+        expect = _eigh(np.zeros((3, 3)))[1][0]
+        assert np.array_equal(exact_top1(np.zeros((3, 3)), v0),
+                              expect if float(expect @ v0) >= 0.0 else -expect)
+
+    def test_exact_top1_orthogonal_start_falls_back_to_eigh(self):
+        # inverse iteration from e1 never leaves e1; its residual sends the
+        # call to eigh, which finds e2
+        got = exact_top1(np.diag([1.0, 2.0]), np.array([1.0, 0.0]))
+        assert _sign_free_distance(got, np.array([0.0, 1.0])) == 0.0
 
 
 class TestContractionEstimate:

@@ -281,7 +281,6 @@ def per_row_reference(prov, n_workers, n_rounds, local_steps, seed):
 
 
 class TestSharedBatchRound:
-    # K=10 spans two row blocks of BLOCK_ROWS=8
     K, L, T = 10, 14, 2
 
     @pytest.fixture
@@ -404,15 +403,18 @@ class TestPrefetch:
                                               seed=1, mode=mode)
         assert threading.active_count() == before
 
-    def test_serial_run_uses_at_most_the_helper_threads(self):
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_run_uses_at_most_the_helper_threads(self, mode):
         before = threading.active_count()
         seen = []
 
-        class Watching(Faulty):
+        class Watching:
+            batch_size, dim = 4, 12  # room for K=10 workers
+
             def batch(self, worker, rnd, step):
                 seen.append(threading.active_count())
-                return super().batch(worker, rnd, step)
+                return np.eye(4, 12) + 0.1 * (rnd + step)
 
-        stochastic_parallel_deflation(Watching(), 3, 20, 2, StepSchedule(eta0=0.1),
-                                      seed=1)
+        stochastic_parallel_deflation(Watching(), 10, 20, 2, StepSchedule(eta0=0.1),
+                                      seed=1, mode=mode)
         assert max(seen) <= before + PREFETCH_THREADS
