@@ -20,11 +20,11 @@ by `_deflate`, the unchecked core of `deflate`.
 
 import numpy as np
 
-from .engine import RunTrace, dense_round_update, next_round, run_round_synchronous
+from .engine import RunTrace, next_round, run_round_synchronous
 from .errors import ConfigError, NumericalError, PardeflError
 from .linalg import as_vector, check_unit, peer_stack, sym_matrix
 from .seeding import unit_init
-from .solvers import HEBB, Top1Config, _nonzero, _top1
+from .solvers import Top1Config, _nonzero, _top1, _top1_update
 
 
 def _deflate(sm: np.ndarray, peers: np.ndarray) -> np.ndarray:
@@ -67,10 +67,7 @@ def sequential_deflation(sigma, n_components: int, cfg: Top1Config,
 def _round_update(sigma, cfg: Top1Config, top1_fn=None):
     """Round update shared by the engine and `replay_round`; sigma is checked."""
     if top1_fn is None:
-        return dense_round_update(
-            sigma, "deflation", steps=cfg.steps,
-            eta=cfg.eta if cfg.method == HEBB else None,
-            align=cfg.sign_align_output)
+        return _top1_update(sigma, cfg)
 
     def update(rnd, active):
         rows = np.empty(active.shape)

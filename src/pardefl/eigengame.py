@@ -13,7 +13,8 @@ computed once per round. Following the reference implementations,
 gradients are NOT projected to the sphere's tangent space; the iterate is
 renormalized after each ascent step x <- (x + eta g)/||.||. The per-vector
 `eigengame_alpha_grad` / `eigengame_mu_grad` are the readable reference
-forms of the same gradients.
+forms of the same gradients. An unset eta is 0.1 over the Rayleigh quotient
+after 64 power steps of `engine.block_steps` (`solvers._top_direction`).
 """
 
 from typing import Literal
@@ -24,8 +25,7 @@ from .engine import RunTrace, dense_round_update, run_round_synchronous
 from .errors import ConfigError, NumericalError
 from .games import player_operands
 from .linalg import sym_matrix
-from .seeding import ETA_STREAM, rng_for
-from .solvers import Top1Config, _nonzero, _top1
+from .solvers import _nonzero, _top_direction
 
 EigenGameVariant = Literal["alpha", "mu"]
 
@@ -59,11 +59,10 @@ def eigengame_mu_grad(sigma, v, peers) -> np.ndarray:
 
 
 def _default_eta(sm: np.ndarray, seed: int) -> float:
-    """0.1 over a power-iteration estimate of the top eigenvalue of a
-    checked, exactly symmetric matrix."""
-    v0 = rng_for(seed, ETA_STREAM).standard_normal(sm.shape[0])
-    v0 /= max(float(np.linalg.norm(v0)), 1e-300)
-    v = _top1(_nonzero(sm), v0, Top1Config(steps=64))
+    """0.1 over a 64-step power estimate of the top |eigenvalue| of checked sm."""
+    _nonzero(sm)
+    v = _top_direction(lambda x: x @ sm, sm.shape[0], seed, 64,
+                       "default step size: power iterate collapsed to zero or non-finite")
     lam = abs(float(v @ sm @ v))
     if lam < 1e-300:
         raise NumericalError("cannot size a step for a numerically zero matrix")

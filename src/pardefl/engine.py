@@ -16,8 +16,10 @@ keeps the (L, K, d) trace; `OracleScorer` keeps only the round's (K,)
 recovery errors and `metrics.RayleighScorer` its discounted Rayleigh
 score, so a scored run holds O(Kd) per round, not the trace.
 
-`block_steps` runs the local steps of the active worker rows X for every
-round-synchronous engine. Per step, without any d x d allocation, it forms
+`block_steps` is the one step loop: every engine round, `solvers.top1` (so
+`pow_iter`, `hebb`, `sequential_deflation`) and both default step sizes run
+it; `deflate`, `eigengame_*_grad` and `deflated_matvec` are per-vector
+references. On the active worker rows X, without any d x d allocation, it forms
 
     G = X Op - (W o (X A^T)) B,
 

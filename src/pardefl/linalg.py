@@ -227,6 +227,14 @@ def _eigh(sm: np.ndarray):
     return vals[::-1], vecs.T[::-1]
 
 
+def _eigvalsh(sm: np.ndarray) -> np.ndarray:
+    """Unchecked LAPACK eigvalsh: values in non-decreasing order."""
+    try:
+        return np.linalg.eigvalsh(sm)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK eigvalsh failed: {exc}") from exc
+
+
 def reference_eigh(a) -> EigenSystem:
     """Ground-truth eigendecomposition by LAPACK eigh.
 

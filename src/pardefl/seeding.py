@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 
-ETA_STREAM = 982451653  # stream key of the draws that size default step sizes
+ETA_STREAM = 982451653  # start vector of `solvers._top_direction`, drawn only there
 
 
 def rng_for(seed: int, *path: int) -> np.random.Generator:

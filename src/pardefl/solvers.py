@@ -1,21 +1,24 @@
 """Leading-eigenvector subroutines: power iteration and Hebb's rule.
 
-`top1`, and `pow_iter` / `hebb` through it, checks its arguments once and
-runs `_top1`, the one unchecked power/Hebb step loop; engines that hold a
-checked matrix call `_top1` directly. `contraction_estimate` exposes the
-per-step error-shrink factor of power iteration, the ratio of the two
-largest eigenvalue magnitudes. `exact_top1` and `contraction_estimate` read
-the spectrum from LAPACK eigvalsh; `exact_top1` then finds its vector by
-inverse iteration, and falls back to LAPACK eigh, the routine of the oracle
-`linalg.reference_eigh`, only where that fails.
+`top1` (with `pow_iter`, `hebb`) checks its arguments once and runs `_top1`,
+round 1 of a lone worker of the engine's dense update; `engine.block_steps`
+is its step loop, and that of `_top_direction`, which sizes default steps.
+`contraction_estimate` exposes the per-step error-shrink factor of power
+iteration, the ratio of the two largest eigenvalue magnitudes. `exact_top1`
+and `contraction_estimate` read the spectrum from LAPACK eigvalsh;
+`exact_top1` then finds its vector by inverse iteration, and falls back to
+LAPACK eigh, the routine of the oracle `linalg.reference_eigh`, only where
+that fails.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import block_steps, dense_round_update
 from .errors import ConfigError, DegenerateSpectrumError, NumericalError
-from .linalg import _eigh, as_vector, check_unit, sign_align, sym_matrix
+from .linalg import _eigh, _eigvalsh, as_vector, check_unit, sign_align, sym_matrix
+from .seeding import ETA_STREAM, rng_for
 
 POWER_ITERATION = "power_iteration"
 HEBB = "hebb"
@@ -63,23 +66,31 @@ def _nonzero(sm: np.ndarray) -> np.ndarray:
     return sm
 
 
+def _top1_update(sm: np.ndarray, cfg: Top1Config):
+    """The `engine.dense_round_update` of cfg: deflation penalty, power or Hebb
+    steps, and the optional flip to the warm start."""
+    return dense_round_update(sm, "deflation", steps=int(cfg.steps),
+                              eta=cfg.eta if cfg.method == HEBB else None,
+                              align=cfg.sign_align_output)
+
+
 def _top1(sm: np.ndarray, v: np.ndarray, cfg: Top1Config) -> np.ndarray:
-    """`top1`'s loop on a checked, exactly symmetric matrix and unit start
-    vector: g = Sigma x (Hebb: x + eta Sigma x), x = g/||g||, then the optional
-    flip toward v. A zero or non-finite norm is a NumericalError."""
-    eta = float(cfg.eta) if cfg.method == HEBB else None
-    out = v
-    for _ in range(int(cfg.steps)):
-        g = sm @ out
-        if eta is not None:
-            g = out + eta * g
-        nrm = float(np.sqrt(g @ g))
-        if not 1e-300 <= nrm < np.inf:
-            raise NumericalError("local solver hit a (near-)zero or non-finite iterate")
-        out = g / nrm
-    if cfg.sign_align_output and float(out @ v) < 0.0:
-        return -out
-    return out
+    """`top1` on checked operands: round 1 of a lone worker, with no peers."""
+    try:
+        return _top1_update(sm, cfg)(1, v[None])[0]
+    except NumericalError as exc:
+        raise NumericalError("local solver hit a (near-)zero or non-finite iterate") from exc
+
+
+def _top_direction(x_op, dim: int, seed: int, steps: int, failure: str) -> np.ndarray:
+    """The unit vector after `steps` power steps x <- x_op(x)/||.|| from the
+    `ETA_STREAM` start of `seed`; a collapse is a NumericalError `failure`."""
+    v0 = rng_for(seed, ETA_STREAM).standard_normal(dim)
+    v0 /= max(float(np.linalg.norm(v0)), 1e-300)
+    try:
+        return block_steps(v0[None], 1, steps, lambda t, x: (x_op(x), None, None, None))[0]
+    except NumericalError as exc:
+        raise NumericalError(failure) from exc
 
 
 def top1(sigma, v0, cfg: Top1Config) -> np.ndarray:
@@ -119,10 +130,7 @@ def exact_top1(sigma, v0) -> np.ndarray:
     v = as_vector(v0)
     if v.shape[0] != sm.shape[0]:
         raise ConfigError(f"dimension mismatch: {sm.shape} vs {v.shape}")
-    try:
-        vals = np.linalg.eigvalsh(sm)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK eigvalsh failed: {exc}") from exc
+    vals = _eigvalsh(sm)
     # magnitudes equal up to rounding are a tie, which the larger value wins
     top = abs(vals[0]) <= abs(vals[-1]) * (1.0 + 1e-12)
     lam = float(vals[-1] if top else vals[0])
@@ -150,10 +158,7 @@ def contraction_estimate(sigma, min_rel_gap: float = 1e-8) -> ContractionEstimat
     The factor is clamped into (1e-12, 1 - 1e-12) so downstream log(1/m)
     arithmetic stays finite.
     """
-    try:
-        vals = np.linalg.eigvalsh(sym_matrix(sigma))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK eigvalsh failed: {exc}") from exc
+    vals = _eigvalsh(sym_matrix(sigma))
     mags = np.sort(np.abs(vals))[::-1]
     if mags[0] < 1e-300:
         raise DegenerateSpectrumError("matrix is numerically zero")

@@ -15,7 +15,9 @@ is a pure function of the provider seed and that index triple. The engine
 reads the batch keyed by worker 1 at each (round, step), once per step,
 so a step reads K times fewer samples than one batch per worker would.
 Every batch, the one that sizes an unset eta0 included, goes through
-`_fetch_batch`: a failing source or a wrong shape is a StreamError.
+`_fetch_batch`: a failing source or a wrong shape is a StreamError. An unset
+eta0 is 2 / ||Y v||^2, v after 32 power steps of `block_steps` on Y^T Y;
+`batch_rayleigh` and `deflated_matvec` are the per-vector reference forms.
 
 The step batches are drawn ahead of the update: up to `PREFETCH_WINDOW`
 keys are in flight on at most `PREFETCH_THREADS` helper threads, which the
@@ -38,7 +40,8 @@ import numpy as np
 from .engine import RunTrace, block_steps, run_round_synchronous
 from .errors import ConfigError, NumericalError, StreamError
 from .linalg import as_matrix, as_vector, peer_stack
-from .seeding import ETA_STREAM, rng_for
+from .seeding import rng_for
+from .solvers import _top_direction
 
 PREFETCH_WINDOW = 3  # step batches in flight while the update waits
 PREFETCH_THREADS = 2  # helper threads that draw them, never one per worker
@@ -183,32 +186,16 @@ def _prefetch(provider, n_rounds: int, local_steps: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _batch_rayleigh(y, v) -> float:
-    """||Y v||^2 on validated float64 operands."""
-    yv = y @ v
-    return float(yv @ yv)
-
-
-def _estimate_top_eigenvalue(y: np.ndarray, seed: int, steps: int = 32) -> float:
-    """Top eigenvalue of Y^T Y by matrix-free power iteration."""
-    v = rng_for(seed, ETA_STREAM).standard_normal(y.shape[1])
-    v /= max(float(np.linalg.norm(v)), 1e-300)
-    for _ in range(steps):
-        yv = y @ v
-        if float(yv @ yv) < 1e-300:
-            raise NumericalError("first batch is numerically zero; cannot size eta0")
-        w = y.T @ yv
-        v = w / float(np.linalg.norm(w))
-    return _batch_rayleigh(y, v)
-
-
 def resolve_schedule(schedule: StepSchedule, provider: BatchProvider,
                      total_steps: int, seed: int):
     """Concretize a schedule into a callable eta(global_step); an unset eta0
     is sized from the checked batch of worker 1, round 1, step 1."""
     eta0 = schedule.eta0
     if eta0 is None:
-        eta0 = 2.0 / _estimate_top_eigenvalue(_fetch_batch(provider, 1, 1, 1), seed)
+        y = _fetch_batch(provider, 1, 1, 1)
+        v = _top_direction(lambda x: (x @ y.T) @ y, y.shape[1], seed, 32,
+                           "first batch is numerically zero; cannot size eta0")
+        eta0 = 2.0 / batch_rayleigh(y, v)
     if schedule.mode == "constant":
         return lambda step: eta0
     tau = schedule.tau if schedule.tau is not None else max(total_steps / 10.0, 1.0)
@@ -224,7 +211,8 @@ def batch_rayleigh(y, v) -> float:
     vv = as_vector(v)
     if ym.shape[1] != vv.shape[0]:
         raise ConfigError(f"dimension mismatch: {ym.shape} vs {vv.shape}")
-    return _batch_rayleigh(ym, vv)
+    yv = ym @ vv
+    return float(yv @ yv)
 
 
 def deflated_matvec(y, peers, lams, x) -> np.ndarray:

@@ -147,7 +147,7 @@ class TestNonFiniteCollapse:
                 pd.FullBatchProvider(data), 2, 3, 1,
                 pd.StepSchedule(eta0=1e10, mode="constant"), seed=0)
 
-    def test_streaming_names_a_second_block_row(self):
+    def test_streaming_names_the_ninth_row(self):
         # Zero batches keep every worker on its initial vector until round 9.
         # Then one huge row orthogonal to workers 1..8 overflows worker 9 only,
         # so the error must name worker 9, the ninth row of one batched update.
@@ -165,6 +165,11 @@ class TestNonFiniteCollapse:
                            match="worker 9, round 9, step 1: update collapsed"):
             pd.stochastic_parallel_deflation(
                 Spike(), 10, 10, 1, pd.StepSchedule(eta0=1.0, mode="constant"), seed=0)
+
+    def test_sequential_deflation_names_the_component_once(self):
+        with pytest.raises(NumericalError, match=r"^worker 1: local solver hit a "
+                                                 r"\(near-\)zero or non-finite iterate$"):
+            pd.sequential_deflation(1e300 * SIGMA, 2, pd.Top1Config(), seed=0)
 
     @staticmethod
     def _overflow_at_step_two(engine):
@@ -194,6 +199,18 @@ class TestNonFiniteCollapse:
         with pytest.raises(NumericalError, match=r"^worker 1, round 1, step 2: update "
                                                  r"collapsed to zero or non-finite$"):
             self._overflow_at_step_two(engine)
+
+
+class TestDefaultStepSizeOnZeroInput:
+    def test_zero_sigma_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^matrix is identically zero$") as exc:
+            pd.run_eigengame("mu", np.zeros((4, 4)), 2, 3, 1, seed=0)
+        assert exc.value.exit_code == 2
+
+    def test_zero_first_batch_names_eta0(self):
+        with pytest.raises(NumericalError, match="cannot size eta0"):
+            pd.stochastic_parallel_deflation(pd.FullBatchProvider(np.zeros((3, 4))),
+                                             2, 3, 1, pd.StepSchedule(), seed=0)
 
 
 class TestTop1FnOutputChecked:

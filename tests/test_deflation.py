@@ -58,6 +58,13 @@ class TestSequentialDeflation:
         out = sequential_deflation(sigma, 1, cfg, seed=9)
         direct = top1(sigma, unit_init(9, 1, 3), cfg)
         assert np.array_equal(out[0], direct)
+        # top1 is round 1 of a lone parallel-deflation worker, bit for bit
+        sigma, _ = random_covariance(0.5 ** np.arange(4), seed=4)
+        for cfg in (Top1Config(steps=3), Top1Config(method="hebb", steps=3, eta=0.4),
+                    Top1Config(steps=2, sign_align_output=False)):
+            trace = parallel_deflation(sigma, 1, 1, cfg, seed=9)
+            assert np.array_equal(trace.final_vectors[0],
+                                  top1(sigma, unit_init(9, 1, 4), cfg))
 
     def test_oracle_match_gap_rich(self, rng):
         spec = 0.5 ** np.arange(8)

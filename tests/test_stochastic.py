@@ -294,7 +294,7 @@ class TestSharedBatchRound:
         expect = per_row_reference(prov, self.K, self.L, self.T, seed=15)
         assert np.max(np.abs(trace.vectors - expect)) <= 1e-12
 
-    def test_serial_thread_bitwise_two_blocks(self, prov):
+    def test_serial_thread_bitwise_ten_workers(self, prov):
         a = stochastic_parallel_deflation(prov, self.K, self.L, self.T,
                                           StepSchedule(), seed=15, mode="serial")
         b = stochastic_parallel_deflation(prov, self.K, self.L, self.T,
