@@ -8,11 +8,13 @@ Each run is one `stochastic_parallel_deflation` call on a Gaussian stream
 over a powerlaw covariance (covariance seed 21), with the default step
 schedule and the stream and init seeds `seed`. The provider's `batch`
 method is wrapped to time and count the batches. `provider_s` is the
-summed sampling time of every call. The engine draws batches ahead on
-helper threads while it updates, so that sum overlaps the rest of the run
-and may exceed its share of `wall_s`; there is no update time to derive
-from it. Final errors are each worker's sign-invariant distance to its true
-eigenvector.
+summed sampling time of every call. The engine draws batches ahead on one
+helper thread while it updates, and on the calling thread while the next
+batch is not ready, so that sum overlaps the rest of the run and may exceed
+its share of `wall_s`; there is no update time to derive from it.
+`calling_thread_batches` counts the batches drawn on the calling thread,
+the one that sizes the default step size included. Final errors are each
+worker's sign-invariant distance to its true eigenvector.
 
 The record goes under `--label` in the `--out` JSON file, next to any
 records already there, so one file can hold a before and an after run.
@@ -47,8 +49,9 @@ REPEATS = 3  # runs of each seed
 def one_run(truth, k, n_rounds, steps, batch_size, seed):
     prov = gaussian_stream(truth, batch_size, seed=seed)
     batch = prov.batch
-    spent = [0.0, 0]
-    lock = threading.Lock()  # batch runs on the engine's helper threads
+    spent = [0.0, 0, 0]  # seconds, batches, batches on the calling thread
+    lock = threading.Lock()  # batch runs on the engine's helper thread too
+    caller = threading.get_ident()
 
     def timed_batch(*key):
         t0 = time.perf_counter()
@@ -57,6 +60,7 @@ def one_run(truth, k, n_rounds, steps, batch_size, seed):
         with lock:
             spent[0] += dt
             spent[1] += 1
+            spent[2] += threading.get_ident() == caller
         return out
 
     prov.batch = timed_batch
@@ -66,6 +70,7 @@ def one_run(truth, k, n_rounds, steps, batch_size, seed):
     wall = time.perf_counter() - t0
     final = pd.attach_oracle(trace, truth).errors[-1]
     return {"seed": seed, "wall_s": wall, "provider_s": spent[0], "batches": spent[1],
+            "calling_thread_batches": spent[2],
             "final_errors": [float(e) for e in final]}
 
 

@@ -19,19 +19,16 @@ Every batch, the one that sizes an unset eta0 included, goes through
 eta0 is 2 / ||Y v||^2, v after 32 power steps of `block_steps` on Y^T Y;
 `batch_rayleigh` and `deflated_matvec` are the per-vector reference forms.
 
-The step batches are drawn ahead of the update: up to `PREFETCH_WINDOW`
-keys are in flight on at most `PREFETCH_THREADS` helper threads, which the
-run starts and joins itself, and are consumed in key order by the calling
-thread, which runs the update, in serial and thread mode alike. They are
-the only threads a run adds. So `batch` may be called ahead of its step
-and concurrently, from a helper thread; it must be a pure, thread-safe
-function of its key. A batch's error surfaces only when its
-step is reached, so an earlier step's NumericalError still wins.
+The step batches are drawn ahead of the update by `PREFETCH_THREADS` (one)
+helper thread, the only thread a run adds, and by the calling thread, which
+runs the update and draws while its next batch is not ready. Both claim keys
+in order from one counter, fewer than `PREFETCH_WINDOW` past the one the
+update holds or awaits, so `batch` must be a pure, thread-safe function of
+its key. A batch's error surfaces only when its step is reached, so an
+earlier step's NumericalError still wins.
 """
 
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -43,8 +40,8 @@ from .linalg import as_matrix, as_vector, peer_stack
 from .seeding import rng_for
 from .solvers import _top_direction
 
-PREFETCH_WINDOW = 3  # step batches in flight while the update waits
-PREFETCH_THREADS = 2  # helper threads that draw them, never one per worker
+PREFETCH_WINDOW = 3  # keys claimable from the one the update holds or awaits
+PREFETCH_THREADS = 1  # helper threads that draw beside the calling thread
 
 
 class BatchProvider(Protocol):
@@ -54,9 +51,9 @@ class BatchProvider(Protocol):
     def batch(self, worker: int, rnd: int, step: int) -> np.ndarray:
         """Return the (batch_size, dim) batch for one (worker, round, step).
 
-        The engine may call this ahead of its step and concurrently, from a
-        helper thread, in either mode, so it must be a pure, thread-safe
-        function of the key.
+        The engine may call this ahead of its step and concurrently, from its
+        helper thread and from the calling thread, in either mode, so it must
+        be a pure, thread-safe function of the key.
         """
         ...
 
@@ -87,9 +84,10 @@ class GaussianStreamProvider:
         self._factor = np.sqrt(np.clip(values, 0.0, None))[:, None] * vectors
 
     def batch(self, worker: int, rnd: int, step: int) -> np.ndarray:
+        out = np.empty((self.batch_size, self.dim))  # first: a run's peak is timing-free
         g = rng_for(self.seed, worker, rnd, step).standard_normal(
             (self.batch_size, self._factor.shape[0]))
-        return g @ self._factor
+        return np.matmul(g, self._factor, out=out)
 
 
 class MatrixRowProvider:
@@ -167,23 +165,50 @@ def _fetch_batch(provider, worker: int, rnd: int, step: int) -> np.ndarray:
 def _prefetch(provider, n_rounds: int, local_steps: int):
     """Yield the checked batches (1, rnd, t), rnd 1..L, t 1..T, in key order.
 
-    Before waiting on the head batch it submits the next key, so
-    PREFETCH_WINDOW batches are in flight on a pool of at most
-    PREFETCH_THREADS threads; closing the generator cancels what is queued
-    and joins the pool.
+    Key i is (i // T + 1, i % T + 1). The helpers and the calling thread, while
+    its batch is not ready, claim keys in order from one counter while a key is
+    below the one the update holds or awaits plus PREFETCH_WINDOW, so at most
+    that many keys' batches are alive. A failed draw is raised when its key is reached.
     """
-    pool = ThreadPoolExecutor(max_workers=min(PREFETCH_THREADS, os.cpu_count() or 1))
+    total, cond, ready = n_rounds * local_steps, threading.Condition(), {}
+    claimed = held = 0  # the next unclaimed key; the key the update holds or awaits
+
+    def draw_until(done):
+        nonlocal claimed
+        while True:
+            with cond:
+                cond.wait_for(lambda: done() or claimed < min(total, held + PREFETCH_WINDOW))
+                if done():
+                    return
+                i, claimed = claimed, claimed + 1
+            try:
+                item = _fetch_batch(provider, 1, i // local_steps + 1, i % local_steps + 1)
+            except BaseException as exc:  # raised when key i is reached
+                item = exc
+            with cond:
+                ready[i], item = item, None  # held only by `ready` until taken
+                cond.notify_all()
+
+    helpers = [threading.Thread(target=draw_until, args=(lambda: claimed == total,),
+                                daemon=True) for _ in range(PREFETCH_THREADS)]
+    for thread in helpers:
+        thread.start()
     try:
-        ahead = deque()
-        for rnd in range(1, n_rounds + 1):
-            for t in range(1, local_steps + 1):
-                ahead.append(pool.submit(_fetch_batch, provider, 1, rnd, t))
-                if len(ahead) == PREFETCH_WINDOW:
-                    yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
+        for i in range(total):
+            with cond:  # the update asks for batch i once it has dropped i - 1
+                held = i
+                cond.notify_all()
+            draw_until(lambda: i in ready)
+            # only this thread removes keys; yield keeps no reference to the batch
+            if isinstance(ready[i], BaseException):
+                raise ready.pop(i)
+            yield ready.pop(i)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        with cond:
+            claimed = total  # nothing is left to claim, so the helpers return
+            cond.notify_all()
+        for thread in helpers:
+            thread.join()
 
 
 def resolve_schedule(schedule: StepSchedule, provider: BatchProvider,

@@ -25,8 +25,8 @@ def test_streaming_script_records_a_tiny_run(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "REPEATS", 2)
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"before": {"kept": True}}))
-    # batch is timed on the engine's helper threads: switch threads often,
-    # so an unlocked count may lose updates
+    # batch is timed on the engine's helper thread and on the calling thread:
+    # switch threads often, so an unlocked count may lose updates
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -43,7 +43,9 @@ def test_streaming_script_records_a_tiny_run(tmp_path, monkeypatch):
     assert set(shape["median"]) == {"wall_s", "provider_s"}
     for run in shape["runs"]:
         assert run["batches"] == 9 and len(run["final_errors"]) == 3
-        # summed over helper threads, so it may exceed the wall time
+        # the batch that sizes eta0 is always drawn on the calling thread
+        assert 1 <= run["calling_thread_batches"] <= run["batches"]
+        # summed over both threads, so it may exceed the wall time
         assert run["provider_s"] > 0.0 and "update_s" not in run
 
 

@@ -1,5 +1,7 @@
+import sys
 import threading
 import time
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -11,8 +13,10 @@ from pardefl import (ConfigError, FullBatchProvider, GaussianStreamProvider,
                      covariance, deflate, deflated_matvec, matvec, normalize,
                      parallel_deflation, reference_eigh,
                      stochastic_parallel_deflation, unit_init)
+from pardefl import stochastic
 from pardefl.metrics import gaussian_stream, random_covariance, spectrum_powerlaw
-from pardefl.stochastic import PREFETCH_THREADS, resolve_schedule
+from pardefl.seeding import rng_for
+from pardefl.stochastic import PREFETCH_THREADS, PREFETCH_WINDOW, resolve_schedule
 
 
 class TestBatchRayleigh:
@@ -71,6 +75,15 @@ class TestProviders:
         assert b1.shape == (7, 2)
         assert np.array_equal(b1, b2)
         assert not np.array_equal(b1, prov.batch(2, 3, 5))
+
+    def test_gaussian_batch_is_the_keyed_normals_times_the_factor(self):
+        # the batch is written into a buffer allocated before the draw; the
+        # samples must be bitwise those of the plain product
+        _, truth = random_covariance(spectrum_powerlaw(6), seed=7)
+        prov = GaussianStreamProvider(truth.values, truth.vectors, 9, seed=4)
+        factor = np.sqrt(truth.values)[:, None] * truth.vectors
+        g = rng_for(4, 1, 2, 3).standard_normal((9, 6))
+        assert np.array_equal(prov.batch(1, 2, 3), g @ factor)
 
     def test_gaussian_matches_covariance(self):
         spec = np.sort(np.random.default_rng(3).uniform(0.2, 1.0, 8))[::-1]
@@ -418,3 +431,75 @@ class TestPrefetch:
         stochastic_parallel_deflation(Watching(), 10, 20, 2, StepSchedule(eta0=0.1),
                                       seed=1, mode=mode)
         assert max(seen) <= before + PREFETCH_THREADS
+
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_calling_thread_draws_when_the_helper_lags(self, mode):
+        _, truth = random_covariance(spectrum_powerlaw(16), seed=14)
+        caller, drawn_here = threading.get_ident(), []
+
+        class Lagging(GaussianStreamProvider):
+            def batch(self, worker, rnd, step):
+                if threading.get_ident() == caller:
+                    drawn_here.append((rnd, step))
+                else:
+                    time.sleep(5e-3)
+                return super().batch(worker, rnd, step)
+
+        def run(source):
+            # an explicit eta0, so no batch is drawn to size it
+            return stochastic_parallel_deflation(
+                source(truth.values, truth.vectors, 16, seed=3), 5, 12, 2,
+                StepSchedule(eta0=0.05), seed=3, mode=mode)
+
+        assert np.array_equal(run(Lagging).vectors,
+                              run(GaussianStreamProvider).vectors)
+        assert drawn_here
+
+    def test_live_batches_stay_within_the_window(self):
+        lock, refs, live = threading.Lock(), [], []
+
+        class Tracked:
+            batch_size, dim = 4, 6
+
+            def batch(self, worker, rnd, step):
+                y = np.eye(4, 6) + 0.1 * (rnd + step)
+                with lock:
+                    live.append(sum(ref() is not None for ref in refs))
+                    refs.append(weakref.ref(y))
+                return y
+
+        stochastic_parallel_deflation(Tracked(), 5, 30, 3, StepSchedule(eta0=0.1),
+                                      seed=1)
+        assert len(live) == 30 * 3
+        # the key being drawn is one of the window's keys
+        assert max(live) <= PREFETCH_WINDOW - 1
+
+    def test_each_key_is_drawn_once_by_contending_threads(self, monkeypatch):
+        # more helpers than cores and a short switch interval: a lost update
+        # of the shared key counter would draw a key twice or skip one
+        _, truth = random_covariance(spectrum_powerlaw(12), seed=4)
+        expect = stochastic_parallel_deflation(
+            GaussianStreamProvider(truth.values, truth.vectors, 8, seed=2), 4, 10, 3,
+            StepSchedule(eta0=0.05), seed=2).vectors
+        lock, keys = threading.Lock(), Counter()
+
+        class Counted(GaussianStreamProvider):
+            def batch(self, worker, rnd, step):
+                with lock:
+                    keys[rnd, step] += 1
+                return super().batch(worker, rnd, step)
+
+        monkeypatch.setattr(stochastic, "PREFETCH_THREADS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                keys.clear()
+                trace = stochastic_parallel_deflation(
+                    Counted(truth.values, truth.vectors, 8, seed=2), 4, 10, 3,
+                    StepSchedule(eta0=0.05), seed=2)
+                assert np.array_equal(trace.vectors, expect)
+                assert keys == Counter({(rnd, t): 1 for rnd in range(1, 11)
+                                        for t in (1, 2, 3)})
+        finally:
+            sys.setswitchinterval(interval)
