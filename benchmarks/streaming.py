@@ -8,13 +8,14 @@ Each run is one `stochastic_parallel_deflation` call on a Gaussian stream
 over a powerlaw covariance (covariance seed 21), with the default step
 schedule and the stream and init seeds `seed`. The provider's `batch`
 method is wrapped to time and count the batches. `provider_s` is the
-summed sampling time of every call. The engine draws batches ahead on one
-helper thread while it updates, and on the calling thread while the next
-batch is not ready, so that sum overlaps the rest of the run and may exceed
-its share of `wall_s`; there is no update time to derive from it.
-`calling_thread_batches` counts the batches drawn on the calling thread,
-the one that sizes the default step size included. Final errors are each
-worker's sign-invariant distance to its true eigenvector.
+summed sampling time of every call. The engine draws each of the L * T
+batches once, the first step's, which also sizes the default step size,
+included: ahead on one helper thread while it updates, and on the calling
+thread while the next batch is not ready. So that sum overlaps the rest of
+the run and may exceed its share of `wall_s`; there is no update time to
+derive from it. `calling_thread_batches` counts the batches drawn on the
+calling thread, and may be 0. Final errors are each worker's sign-invariant
+distance to its true eigenvector.
 
 The record goes under `--label` in the `--out` JSON file, next to any
 records already there, so one file can hold a before and an after run.

@@ -335,6 +335,9 @@ def export_trace_csv(trace: RunTrace, path) -> None:
     """Write `round,worker,error,active` rows (plus `variant` for game runs)
     and a sidecar PDM1 file holding the final broadcast vectors. The rows
     are formatted and written a round at a time."""
+    sidecar = Path(path).with_suffix(".pdm1")
+    if sidecar == Path(path):
+        raise ConfigError(f"trace CSV path {path} is its own .pdm1 sidecar")
     header = ["round", "worker", "error", "active"]
     if trace.variant is not None:
         header.append("variant")
@@ -353,7 +356,7 @@ def export_trace_csv(trace: RunTrace, path) -> None:
             yield "".join(lines)
 
     atomic_write_bytes(path, map(str.encode, rounds()))
-    save_pdm1(Path(path).with_suffix(".pdm1"), trace.final_vectors)
+    save_pdm1(sidecar, trace.final_vectors)
 
 
 def read_trace_csv(path) -> list[dict]:

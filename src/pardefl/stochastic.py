@@ -14,18 +14,18 @@ Batch providers are pull-based and replayable: batch(worker, round, step)
 is a pure function of the provider seed and that index triple. The engine
 reads the batch keyed by worker 1 at each (round, step), once per step,
 so a step reads K times fewer samples than one batch per worker would.
-Every batch, the one that sizes an unset eta0 included, goes through
-`_fetch_batch`: a failing source or a wrong shape is a StreamError. An unset
+Every batch, step (1, 1)'s that sizes an unset eta0 included, is drawn once
+by `_prefetch`; a failing source or a wrong shape is a StreamError. An unset
 eta0 is 2 / ||Y v||^2, v after 32 power steps of `block_steps` on Y^T Y;
 `batch_rayleigh` and `deflated_matvec` are the per-vector reference forms.
 
-The step batches are drawn ahead of the update by `PREFETCH_THREADS` (one)
-helper thread, the only thread a run adds, and by the calling thread, which
-runs the update and draws while its next batch is not ready. Both claim keys
-in order from one counter, fewer than `PREFETCH_WINDOW` past the one the
-update holds or awaits, so `batch` must be a pure, thread-safe function of
-its key. A batch's error surfaces only when its step is reached, so an
-earlier step's NumericalError still wins.
+The batches are drawn ahead of the update by one helper thread, the only
+thread a run adds, and by the calling thread, which runs the update and
+draws while its next batch is not ready. Both claim keys in order from one
+counter, fewer than `PREFETCH_WINDOW` past the one the update holds or
+awaits, so `batch` must be a pure, thread-safe function of its key. A
+batch's error surfaces only when its step is reached, so an earlier step's
+NumericalError still wins.
 """
 
 import threading
@@ -41,7 +41,6 @@ from .seeding import rng_for
 from .solvers import _top_direction
 
 PREFETCH_WINDOW = 3  # keys claimable from the one the update holds or awaits
-PREFETCH_THREADS = 1  # helper threads that draw beside the calling thread
 
 
 class BatchProvider(Protocol):
@@ -51,9 +50,9 @@ class BatchProvider(Protocol):
     def batch(self, worker: int, rnd: int, step: int) -> np.ndarray:
         """Return the (batch_size, dim) batch for one (worker, round, step).
 
-        The engine may call this ahead of its step and concurrently, from its
-        helper thread and from the calling thread, in either mode, so it must
-        be a pure, thread-safe function of the key.
+        The engine calls this once per key, ahead of its step and concurrently,
+        from its one helper thread and from the calling thread, in either mode,
+        so it must be a pure, thread-safe function of the key.
         """
         ...
 
@@ -165,15 +164,15 @@ def _fetch_batch(provider, worker: int, rnd: int, step: int) -> np.ndarray:
 def _prefetch(provider, n_rounds: int, local_steps: int):
     """Yield the checked batches (1, rnd, t), rnd 1..L, t 1..T, in key order.
 
-    Key i is (i // T + 1, i % T + 1). The helpers and the calling thread, while
-    its batch is not ready, claim keys in order from one counter while a key is
-    below the one the update holds or awaits plus PREFETCH_WINDOW, so at most
-    that many keys' batches are alive. A failed draw is raised when its key is reached.
+    Key i is (i // T + 1, i % T + 1). One helper thread and the calling thread,
+    while its batch is not ready, claim each key once, in order, from one counter
+    while it is below the key the update holds or awaits plus PREFETCH_WINDOW, so
+    at most that many keys' batches are alive. A failed draw raises at its key.
     """
     total, cond, ready = n_rounds * local_steps, threading.Condition(), {}
     claimed = held = 0  # the next unclaimed key; the key the update holds or awaits
 
-    def draw_until(done):
+    def draw_until(done=lambda: claimed == total):  # the helper: until all are claimed
         nonlocal claimed
         while True:
             with cond:
@@ -189,10 +188,8 @@ def _prefetch(provider, n_rounds: int, local_steps: int):
                 ready[i], item = item, None  # held only by `ready` until taken
                 cond.notify_all()
 
-    helpers = [threading.Thread(target=draw_until, args=(lambda: claimed == total,),
-                                daemon=True) for _ in range(PREFETCH_THREADS)]
-    for thread in helpers:
-        thread.start()
+    helper = threading.Thread(target=draw_until, daemon=True)
+    helper.start()
     try:
         for i in range(total):
             with cond:  # the update asks for batch i once it has dropped i - 1
@@ -205,19 +202,17 @@ def _prefetch(provider, n_rounds: int, local_steps: int):
             yield ready.pop(i)
     finally:
         with cond:
-            claimed = total  # nothing is left to claim, so the helpers return
+            claimed = total  # nothing is left to claim, so the helper returns
             cond.notify_all()
-        for thread in helpers:
-            thread.join()
+        helper.join()
 
 
-def resolve_schedule(schedule: StepSchedule, provider: BatchProvider,
-                     total_steps: int, seed: int):
+def resolve_schedule(schedule: StepSchedule, first_batch, total_steps: int, seed: int):
     """Concretize a schedule into a callable eta(global_step); an unset eta0
-    is sized from the checked batch of worker 1, round 1, step 1."""
+    is sized from `first_batch`, the checked batch of step (1, 1)."""
     eta0 = schedule.eta0
     if eta0 is None:
-        y = _fetch_batch(provider, 1, 1, 1)
+        y = first_batch
         v = _top_direction(lambda x: (x @ y.T) @ y, y.shape[1], seed, 32,
                            "first batch is numerically zero; cannot size eta0")
         eta0 = 2.0 / batch_rayleigh(y, v)
@@ -266,8 +261,8 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
                                   schedule: StepSchedule, seed: int,
                                   mode: str = "serial", on_round=None) -> RunTrace:
     """Streaming parallel deflation, every worker reading one shared batch per
-    local step; deterministic given the seed. The schedule is resolved as
-    round 1 starts, after `run_round_synchronous` has checked K, T and L.
+    local step; deterministic given the seed. The schedule is resolved from
+    the first step's batch, after `run_round_synchronous` has checked K, T and L.
     Each round steps all active rows as one batched update on the calling
     thread, in either mode, reading each step's batch once from `_prefetch`;
     no helper thread outlives the call, whether it returns or raises.
@@ -276,14 +271,14 @@ def stochastic_parallel_deflation(provider: BatchProvider, n_components: int,
     batches = _prefetch(provider, n_rounds, local_steps)
 
     def update(rnd, active):
-        nonlocal eta_at
-        if eta_at is None:
-            eta_at = resolve_schedule(schedule, provider, n_rounds * local_steps, seed)
         m = active.shape[0] - 1  # peers of the last active row
         mask, peers = np.tri(m + 1, m, k=-1), active[:m]
 
         def terms(t, x):
+            nonlocal eta_at
             y = next(batches)
+            if eta_at is None:  # step (1, 1); block_steps calls eta(t) after terms
+                eta_at = resolve_schedule(schedule, y, n_rounds * local_steps, seed)
             yp = y @ peers.T
             weights = mask * np.einsum("ij,ij->j", yp, yp) if m else None
             return (x @ y.T) @ y, weights, peers, peers

@@ -172,6 +172,8 @@ class ConvergenceSchedule:
 
     def bound(self, k: int, rnd: int) -> float:
         """Envelope 6 (l - s_k + 2) m_k^(l - s_k + 1) at round l for worker k."""
+        if not 1 <= k <= self.n_workers:
+            raise ConfigError(f"worker k must lie in [1, {self.n_workers}], got {k}")
         j = rnd - int(self.s[k - 1]) + 1
         if j < 0:
             raise ConfigError(f"round {rnd} precedes s_{k} - 1")

@@ -38,13 +38,13 @@ def test_streaming_script_records_a_tiny_run(tmp_path, monkeypatch):
     (shape,) = results["smoke"]["shapes"]
     assert shape["shape"]["seeds"] == [1, 2] and shape["shape"]["repeats"] == 2
     assert len(shape["runs"]) == 4
-    # one shared batch per (round, step) plus the one that sizes eta0
-    assert shape["batches_per_run"] == 4 * 2 + 1
+    # one shared batch per (round, step), the one that sizes eta0 among them
+    assert shape["batches_per_run"] == 4 * 2
     assert set(shape["median"]) == {"wall_s", "provider_s"}
     for run in shape["runs"]:
-        assert run["batches"] == 9 and len(run["final_errors"]) == 3
-        # the batch that sizes eta0 is always drawn on the calling thread
-        assert 1 <= run["calling_thread_batches"] <= run["batches"]
+        assert run["batches"] == 8 and len(run["final_errors"]) == 3
+        # the helper thread may draw every batch
+        assert 0 <= run["calling_thread_batches"] <= run["batches"]
         # summed over both threads, so it may exceed the wall time
         assert run["provider_s"] > 0.0 and "update_s" not in run
 

@@ -267,3 +267,11 @@ class TestTraceExport:
         trace = parallel_deflation(sigma, 2, 3, Top1Config(steps=1), seed=2)
         export_trace_csv(trace, tmp_path / "t.csv")
         assert np.array_equal(load_pdm1(tmp_path / "t.pdm1"), trace.final_vectors)
+
+    def test_refuses_a_path_that_is_its_own_sidecar(self, tmp_path):
+        # the sidecar of x.pdm1 would be x.pdm1 itself and replace the CSV
+        sigma, _ = random_covariance(np.array([1.0, 0.5]), seed=19)
+        trace = parallel_deflation(sigma, 2, 3, Top1Config(steps=1), seed=2)
+        with pytest.raises(ConfigError, match="is its own .pdm1 sidecar"):
+            export_trace_csv(trace, tmp_path / "x.pdm1")
+        assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -13,10 +14,9 @@ from pardefl import (ConfigError, FullBatchProvider, GaussianStreamProvider,
                      covariance, deflate, deflated_matvec, matvec, normalize,
                      parallel_deflation, reference_eigh,
                      stochastic_parallel_deflation, unit_init)
-from pardefl import stochastic
 from pardefl.metrics import gaussian_stream, random_covariance, spectrum_powerlaw
 from pardefl.seeding import rng_for
-from pardefl.stochastic import PREFETCH_THREADS, PREFETCH_WINDOW, resolve_schedule
+from pardefl.stochastic import PREFETCH_WINDOW, resolve_schedule
 
 
 class TestBatchRayleigh:
@@ -151,7 +151,8 @@ class TestStepSchedule:
     def test_inverse_time_values(self):
         _, truth = random_covariance(np.array([1.0, 0.5]), seed=4)
         prov = gaussian_stream(truth, 8, seed=4)
-        eta = resolve_schedule(StepSchedule(eta0=1.0, tau=10.0), prov, 100, seed=4)
+        eta = resolve_schedule(StepSchedule(eta0=1.0, tau=10.0), prov.batch(1, 1, 1),
+                               100, seed=4)
         assert eta(0) == 1.0
         assert eta(10) == 0.5
         assert eta(30) == 0.25
@@ -159,8 +160,8 @@ class TestStepSchedule:
     def test_default_eta0_scales_with_batch_gram(self):
         _, truth = random_covariance(np.array([1.0, 0.5]), seed=5)
         prov = gaussian_stream(truth, 64, seed=5)
-        eta = resolve_schedule(StepSchedule(mode="constant"), prov, 100, seed=5)
         first = prov.batch(1, 1, 1)
+        eta = resolve_schedule(StepSchedule(mode="constant"), first, 100, seed=5)
         lam_top = reference_eigh(covariance(first)).values[0]
         assert 0.5 * 2.0 / lam_top <= eta(0) <= 2.0 * 2.0 / lam_top
 
@@ -247,7 +248,7 @@ class TestStochasticEngine:
     @pytest.mark.parametrize("first", [RuntimeError("source down"), np.ones((4, 2))],
                              ids=["raising", "wrong-width"])
     def test_first_batch_checked_under_default_schedule(self, first):
-        # an unset eta0 is sized from batch (1, 1, 1) before any round runs
+        # an unset eta0 is sized from batch (1, 1, 1) before its step runs
         class Source:
             batch_size = 4
             dim = 3
@@ -259,6 +260,17 @@ class TestStochasticEngine:
 
         with pytest.raises(StreamError, match="worker 1, round 1, step 1"):
             stochastic_parallel_deflation(Source(), 1, 2, 1, StepSchedule(), seed=1)
+
+    def test_zero_first_batch_cannot_size_eta0(self):
+        class Zero:
+            batch_size, dim = 4, 3
+
+            def batch(self, worker, rnd, step):
+                return np.zeros((4, 3))
+
+        with pytest.raises(NumericalError,
+                           match="^first batch is numerically zero; cannot size eta0$"):
+            stochastic_parallel_deflation(Zero(), 1, 2, 1, StepSchedule(), seed=1)
 
     def test_pure_hebb_direction_with_no_peers(self, rng):
         # one worker, one step: the update direction is exactly Y'Y v
@@ -275,7 +287,8 @@ class TestStochasticEngine:
 def per_row_reference(prov, n_workers, n_rounds, local_steps, seed):
     """Round-synchronous streaming deflation one worker row and one peer at a
     time, every worker reading the batch keyed by worker 1 at each step."""
-    eta = resolve_schedule(StepSchedule(), prov, n_rounds * local_steps, seed)
+    eta = resolve_schedule(StepSchedule(), prov.batch(1, 1, 1), n_rounds * local_steps,
+                           seed)
     prev = np.stack([unit_init(seed, k, prov.dim) for k in range(1, n_workers + 1)])
     out = []
     for rnd in range(1, n_rounds + 1):
@@ -325,22 +338,20 @@ class TestSharedBatchRound:
             return np.random.default_rng([rnd, step]).standard_normal((8, self.dim))
 
     def test_one_batch_per_step(self):
-        # L*T batches for the rounds plus the one that sizes the unset eta0
+        # L*T batches, the one that sizes the unset eta0 among them
         prov = self.Counting(6)
         stochastic_parallel_deflation(prov, 5, 6, 2, StepSchedule(), seed=1)
-        assert len(prov.keys) == 6 * 2 + 1
+        assert len(prov.keys) == 6 * 2
         assert all(worker == 1 for worker, _, _ in prov.keys)
 
     def test_each_active_block_fetches_the_step_batch(self):
         # K=10 spans two row blocks from round 9 on, but the active rows step
-        # as one block: each (round, step) batch is drawn once, and (1, 1, 1)
-        # once more to size the unset eta0
+        # as one block: each (round, step) batch is drawn once, (1, 1, 1) too,
+        # though it also sizes the unset eta0
         prov = self.Counting(12)
         stochastic_parallel_deflation(prov, 10, 10, 2, StepSchedule(), seed=1)
-        counts = Counter(prov.keys)
-        assert set(counts) == {(1, rnd, t) for rnd in range(1, 11) for t in (1, 2)}
-        for (_, rnd, t), n in counts.items():
-            assert n == 1 + ((rnd, t) == (1, 1)), (rnd, t)
+        assert Counter(prov.keys) == Counter(
+            {(1, rnd, t): 1 for rnd in range(1, 11) for t in (1, 2)})
 
 
 class Jittered(GaussianStreamProvider):
@@ -430,7 +441,8 @@ class TestPrefetch:
 
         stochastic_parallel_deflation(Watching(), 10, 20, 2, StepSchedule(eta0=0.1),
                                       seed=1, mode=mode)
-        assert max(seen) <= before + PREFETCH_THREADS
+        # one helper thread beside the calling thread
+        assert max(seen) <= before + 1
 
     @pytest.mark.parametrize("mode", ["serial", "thread"])
     def test_calling_thread_draws_when_the_helper_lags(self, mode):
@@ -474,9 +486,52 @@ class TestPrefetch:
         # the key being drawn is one of the window's keys
         assert max(live) <= PREFETCH_WINDOW - 1
 
-    def test_each_key_is_drawn_once_by_contending_threads(self, monkeypatch):
-        # more helpers than cores and a short switch interval: a lost update
-        # of the shared key counter would draw a key twice or skip one
+    def test_traced_peak_stays_within_the_window(self):
+        # a 2048 x 256 batch (4.2 MB) from a rank-16 factor, so the normals of
+        # a draw are small and the batches dominate the run's memory: at most
+        # PREFETCH_WINDOW of them are alive, the update's included. The helper
+        # lags, so the calling thread fills the window while the helper draws,
+        # and a batch the helper kept past its step would add a whole one.
+        n, d = 2048, 256
+        caller = threading.get_ident()
+
+        class Lagging(GaussianStreamProvider):
+            def batch(self, worker, rnd, step):
+                if threading.get_ident() != caller:
+                    time.sleep(5e-3)
+                return super().batch(worker, rnd, step)
+
+        vectors = np.linalg.qr(np.random.default_rng(6).standard_normal((d, 16)))[0].T
+        prov = Lagging(1.0 / np.arange(1.0, 17.0), vectors, n, seed=6)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stochastic_parallel_deflation(prov, 3, 12, 3, StepSchedule(), seed=6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (PREFETCH_WINDOW + 0.5) * n * d * 8
+
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_default_schedule_draws_each_key_once(self, mode):
+        # the batch that sizes the unset eta0 is step (1, 1)'s, drawn once
+        _, truth = random_covariance(spectrum_powerlaw(12), seed=4)
+        lock, keys = threading.Lock(), Counter()
+
+        class Counted(GaussianStreamProvider):
+            def batch(self, worker, rnd, step):
+                with lock:
+                    keys[worker, rnd, step] += 1
+                return super().batch(worker, rnd, step)
+
+        stochastic_parallel_deflation(Counted(truth.values, truth.vectors, 8, seed=2),
+                                      4, 10, 3, StepSchedule(), seed=2, mode=mode)
+        assert sum(keys.values()) == 10 * 3
+        assert keys == Counter({(1, rnd, t): 1 for rnd in range(1, 11) for t in (1, 2, 3)})
+
+    def test_each_key_is_drawn_once_by_contending_threads(self):
+        # the helper and the calling thread switch often: a lost update of the
+        # shared key counter would draw a key twice or skip one
         _, truth = random_covariance(spectrum_powerlaw(12), seed=4)
         expect = stochastic_parallel_deflation(
             GaussianStreamProvider(truth.values, truth.vectors, 8, seed=2), 4, 10, 3,
@@ -489,11 +544,10 @@ class TestPrefetch:
                     keys[rnd, step] += 1
                 return super().batch(worker, rnd, step)
 
-        monkeypatch.setattr(stochastic, "PREFETCH_THREADS", 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(5):
+            for _ in range(20):
                 keys.clear()
                 trace = stochastic_parallel_deflation(
                     Counted(truth.values, truth.vectors, 8, seed=2), 4, 10, 3,

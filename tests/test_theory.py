@@ -214,6 +214,20 @@ class TestCheckBound:
         assert report.n_violations > 0
 
 
+class TestConvergenceSchedule:
+    @pytest.mark.parametrize("k", [0, -2, 4])
+    def test_bound_refuses_a_worker_outside_one_to_k(self, k):
+        sched = ConvergenceSchedule(F=[0.5, 0.5, 0.5], m=[0.5, 0.75, 0.8], s=[1, 2, 3])
+        with pytest.raises(ConfigError, match=r"^worker k must lie in \[1, 3\], got "
+                                              + str(k) + "$"):
+            sched.bound(k, 200)
+
+    def test_bound_of_each_worker(self):
+        sched = ConvergenceSchedule(F=[0.5, 0.5], m=[0.5, 0.75], s=[1, 3])
+        assert sched.bound(1, 1) == 6.0 * 2 * 0.5
+        assert sched.bound(2, 4) == 6.0 * 3 * 0.75 ** 2
+
+
 class TestDavisKahan:
     def test_zero_perturbation(self):
         lhs, rhs = davis_kahan_gap_bound(np.diag([2.0, 1.0]), np.zeros((2, 2)))
