@@ -126,7 +126,11 @@ _FIELD_TYPES = {f.name: next(t for t in (*get_args(f.type), f.type)
 def parse_config_file(path) -> dict:
     """Flat key=value lines; blank lines and #-comments are ignored."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file ({exc})") from exc
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -167,32 +171,27 @@ class _Problem:
     A synthetic source holds Sigma and its eigensystem. A data file is held
     as Sigma = Y^T Y and its row count n (`load_covariance`), unless a
     streaming run among cfgs needs the rows Y; Sigma is then built from Y
-    only if a dense run asks for it, with the same bits.
+    when the source is made, with the same bits, if a dense run is among
+    cfgs, and is None otherwise.
     """
 
     def __init__(self, *cfgs: ExperimentConfig):
         cfg = cfgs[0]
-        self._sigma = self.data = self.truth = None
+        self.sigma = self.data = self.truth = None
         if cfg.spectrum is not None:
             spec = SPECTRA[cfg.spectrum](cfg.d)
-            self._sigma, self.truth = random_covariance(spec, cfg.seed)
+            self.sigma, self.truth = random_covariance(spec, cfg.seed)
             dim = cfg.d
         elif any(c.algorithm == STREAMING for c in cfgs):
             self.data = load_matrix(cfg.data)
             self.n_rows, dim = self.data.shape
+            if any(c.algorithm != STREAMING for c in cfgs):
+                self.sigma = covariance(self.data)
         else:
-            self._sigma, self.n_rows = load_covariance(cfg.data)
-            dim = self._sigma.shape[0]
+            self.sigma, self.n_rows = load_covariance(cfg.data)
+            dim = self.sigma.shape[0]
         if cfg.K > dim:
             raise ConfigError(f"K exceeds dimension: K={cfg.K}, d={dim}")
-
-    @property
-    def sigma(self) -> np.ndarray:
-        # built on demand from kept rows, so matrix-free streaming runs over
-        # file sources never materialize a d x d covariance
-        if self._sigma is None:
-            self._sigma = covariance(self.data)
-        return self._sigma
 
     def provider(self, cfg: ExperimentConfig, trial_seed: int):
         if self.truth is not None:
@@ -353,7 +352,7 @@ def run_comparison(cfgs: list[ExperimentConfig], out_path) -> Path:
 
 
 def run_theory_report(cfg: ExperimentConfig, extra_rounds: int = 50) -> dict:
-    """Schedule + envelope audit against a fresh parallel-deflation trace.
+    """Schedule + envelope audit against trial 0 of `pardefl run` for cfg.
 
     Needs a synthetic source (the oracle eigensystem must be known) and
     the power-iteration parallel deflation the schedule describes. When
@@ -372,10 +371,7 @@ def run_theory_report(cfg: ExperimentConfig, extra_rounds: int = 50) -> dict:
     problem = _Problem(cfg)
     schedule = schedule_for_run(problem.sigma, problem.truth, cfg.K, cfg.T)
     n_rounds = cfg.L if cfg.L is not None else int(schedule.s[-1]) + extra_rounds
-    n_rounds = max(n_rounds, cfg.K)
-    trace = parallel_deflation(problem.sigma, cfg.K, n_rounds, cfg._top1_config(),
-                               cfg.seed, mode=cfg.mode,
-                               on_round=problem.scorer(cfg, n_rounds))
+    trace = run_trial(replace(cfg, L=max(n_rounds, cfg.K)), problem, 0)
     report = check_bound(trace, schedule)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)

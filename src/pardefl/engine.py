@@ -32,6 +32,7 @@ scale 1 / diag(V Sigma V^T). The streaming engine uses Op = Y^T Y per batch.
 """
 
 import csv
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -211,6 +212,15 @@ def next_round(update, rnd: int, prev: np.ndarray) -> np.ndarray:
     return cur
 
 
+def _count(value, name: str) -> int:
+    """`value` as an int (`operator.index`); a float or any other
+    non-integer is a ConfigError naming the count."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
                           algorithm, local_steps, variant=None,
                           mode="serial", on_round=None) -> RunTrace:
@@ -220,8 +230,8 @@ def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
     the previous round (round 0 holds the frozen initial vectors); see
     `next_round`. Every round runs on the calling thread; `mode` "serial"
     and "thread" give the same calls and so bitwise the same trace. It
-    checks the run's shape for every round-synchronous engine: 1 <= K <= d,
-    T >= 1 and L >= K.
+    checks the run's shape for every round-synchronous engine: integers
+    with 1 <= K <= d, T >= 1 and L >= K.
 
     `on_round(rnd, broadcast)` receives each round's read-only broadcast
     once the round ends, and its `finish(final)` gives the trace's fields
@@ -230,11 +240,11 @@ def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
     """
     if mode not in MODES:
         raise ConfigError(f"unknown engine mode {mode!r}")
-    if not 1 <= n_workers <= dim:
+    if not 1 <= _count(n_workers, "K") <= dim:
         raise ConfigError(f"K must lie in [1, {dim}], got {n_workers}")
-    if local_steps < 1:
+    if _count(local_steps, "local step count") < 1:
         raise ConfigError(f"local step count must be >= 1, got {local_steps}")
-    if n_rounds < n_workers:
+    if _count(n_rounds, "L") < n_workers:
         raise ConfigError(
             f"need at least as many rounds as workers, got L={n_rounds} < K={n_workers}")
     prev = np.stack([unit_init(seed, k, dim) for k in range(1, n_workers + 1)])

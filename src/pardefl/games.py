@@ -113,8 +113,8 @@ def nash_check(sigma, candidates, n_samples: int, radius: float,
         raise ConfigError(f"candidates must be (K, d) with d = {d}")
     if n_samples < 1:
         raise ConfigError("need at least one perturbation sample")
-    if not radius > _MIN_ANGLE:
-        raise ConfigError(f"radius must exceed {_MIN_ANGLE}, got {radius!r}")
+    if not _MIN_ANGLE < radius < np.inf:
+        raise ConfigError(f"radius must be finite and exceed {_MIN_ANGLE}, got {radius!r}")
 
     lead = _eigh(sm)[0][: cand.shape[0] + 1]
     scale = max(float(np.max(np.abs(lead))), 1e-300)

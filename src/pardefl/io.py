@@ -51,6 +51,8 @@ def save_pdm1(path, array) -> None:
     a = np.ascontiguousarray(array, dtype="<f8")
     if a.ndim != 2:
         raise DataFormatError(f"PDM1 stores 2-d matrices, got ndim={a.ndim}")
+    if a.size == 0:
+        raise DataFormatError(f"PDM1 stores non-empty matrices, got {a.shape}")
     header = PDM1_MAGIC + struct.pack("<QQ", a.shape[0], a.shape[1])
     atomic_write_bytes(path, (header, a.reshape(-1).view(np.uint8)))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import block_steps, dense_round_update
+from .engine import _count, block_steps, dense_round_update
 from .errors import ConfigError, DegenerateSpectrumError, NumericalError
 from .linalg import _eigh, _eigvalsh, as_vector, check_unit, sign_align, sym_matrix
 from .seeding import ETA_STREAM, rng_for
@@ -42,7 +42,7 @@ class Top1Config:
         if self.method not in (POWER_ITERATION, HEBB):
             raise ConfigError(f"solver must be {POWER_ITERATION!r} or {HEBB!r}, "
                               f"got {self.method!r}")
-        if int(self.steps) < 1:
+        if _count(self.steps, "Top1 steps") < 1:
             raise ConfigError(f"Top1 steps must be >= 1, got {self.steps}")
         if self.method == HEBB and (self.eta is None or not 0.0 < self.eta < np.inf):
             raise ConfigError(f"Hebb's rule needs a positive finite eta, got {self.eta!r}")
@@ -69,7 +69,7 @@ def _nonzero(sm: np.ndarray) -> np.ndarray:
 def _top1_update(sm: np.ndarray, cfg: Top1Config):
     """The `engine.dense_round_update` of cfg: deflation penalty, power or Hebb
     steps, and the optional flip to the warm start."""
-    return dense_round_update(sm, "deflation", steps=int(cfg.steps),
+    return dense_round_update(sm, "deflation", steps=cfg.steps,
                               eta=cfg.eta if cfg.method == HEBB else None,
                               align=cfg.sign_align_output)
 

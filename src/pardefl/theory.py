@@ -84,7 +84,7 @@ def cascade_rates(factors) -> np.ndarray:
     f = np.asarray(factors, dtype=np.float64).reshape(-1)
     if f.size < 1:
         raise ConfigError("need at least one contraction factor")
-    if np.any(f <= 0.0) or np.any(f >= 1.0):
+    if not np.all((f > 0.0) & (f < 1.0)):
         raise ConfigError("contraction factors must lie strictly inside (0, 1)")
     m = np.empty_like(f)
     m[0] = f[0]
@@ -115,7 +115,7 @@ def phase_start_rounds(rates, spectrum) -> np.ndarray:
     n_workers = m.size
     if n_workers < 1:
         raise ConfigError("need at least one rate")
-    if np.any(m <= 0.0) or np.any(m >= 1.0):
+    if not np.all((m > 0.0) & (m < 1.0)):
         raise ConfigError("rates must lie strictly inside (0, 1)")
     if lam.size < n_workers + 1:
         raise DegenerateSpectrumError(
@@ -123,7 +123,7 @@ def phase_start_rounds(rates, spectrum) -> np.ndarray:
     if abs(lam[0] - 1.0) > 1e-12:
         raise DegenerateSpectrumError(
             f"spectrum must be normalized to lambda_1 = 1, got {lam[0]!r}")
-    if np.any(lam <= 0.0) or np.any(np.diff(lam) >= 0.0):
+    if not (np.all(lam > 0.0) and np.all(np.diff(lam) < 0.0)):
         raise DegenerateSpectrumError(
             "spectrum must be strictly decreasing and positive")
 
@@ -156,7 +156,9 @@ class ConvergenceSchedule:
         s = np.asarray(self.s, dtype=np.int64).reshape(-1)
         if not (F.size == m.size == s.size >= 1):
             raise ConfigError("F, m, s must have one entry per worker")
-        if np.any(m >= 1.0) or np.any(m <= 0.0):
+        if not np.all((F > 0.0) & (F < 1.0)):
+            raise ConfigError("contraction factors F must lie strictly inside (0, 1)")
+        if not np.all((m > 0.0) & (m < 1.0)):
             raise ConfigError("rates m must lie strictly inside (0, 1)")
         if s[0] != 1 or np.any(np.diff(s) < 0):
             raise ConfigError("start rounds must be non-decreasing with s_1 = 1")
@@ -316,12 +318,14 @@ def deflation_perturbation_bound(spectrum, peer_errors,
     if abs(lam[0] - 1.0) > 1e-12:
         raise DegenerateSpectrumError(
             f"spectrum must be normalized to lambda_1 = 1, got {lam[0]!r}")
-    if np.any(err < 0.0):
-        raise ConfigError("peer errors must be non-negative")
+    if not np.all(np.isfinite(lam[: k + 1])):
+        raise DegenerateSpectrumError("spectrum entries must be finite")
+    if not np.all((err >= 0.0) & (err < np.inf)):
+        raise ConfigError("peer errors must be finite and non-negative")
     if not c0 > 1.0:
         raise ConfigError(f"c0 must exceed 1, got {c0!r}")
     gap = float(lam[k - 1] - lam[k])
-    if gap <= 1e-300:
+    if not gap > 1e-300:
         raise DegenerateSpectrumError(f"gap lam_{k} - lam_{k + 1} is not positive")
     weighted = float(np.sum(lam[: k - 1] * err))
     bound = 4.0 * c0 / gap * weighted
@@ -352,6 +356,10 @@ def communication_cost(n_workers: int, c_comm: float, dim: int) -> float:
     """Per-iteration broadcast cost K (K - 1) / 2 * C_comm * d."""
     if n_workers < 1:
         raise ConfigError(f"need at least one worker, got {n_workers}")
+    if not 0.0 <= c_comm < math.inf:
+        raise ConfigError(f"C_comm must be finite and non-negative, got {c_comm!r}")
+    if dim < 1:
+        raise ConfigError(f"dimension d must be >= 1, got {dim}")
     return 0.5 * n_workers * (n_workers - 1) * c_comm * dim
 
 

@@ -3,6 +3,7 @@ import os
 import re
 import struct
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,7 @@ from pardefl.engine import OracleScorer
 from pardefl.errors import (CapacityError, ConfigError, CoverageError,
                             DataFormatError, DegenerateSpectrumError,
                             NumericalError, PardeflError, StreamError)
+from pardefl.io import load_covariance
 from pardefl.linalg import GRAM_ROWS
 
 
@@ -130,6 +132,19 @@ class TestCheckedAtLoad:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         assert "bad.cfg:2: expected key=value, got 'd 6'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfe")
+        if command == "run":
+            argv = ["run", "--config", str(bad), "--out", str(tmp_path / "x")]
+        else:
+            good = write_cfg(tmp_path / "good.cfg", {**VALID, "out": tmp_path / "x"})
+            argv = ["compare", str(good), str(bad), "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 2
+        assert f"{bad}: not a UTF-8 text file" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists() and not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("second,named", [
         pytest.param({"K": "3"}, "share K", id="other-K"),
@@ -245,7 +260,7 @@ class TestRunExperiment:
         problem = _Problem(cfg)
         trace = run_trial(cfg, problem, 0)
         problem.metric_series(trace)
-        assert problem._sigma is None
+        assert problem.sigma is None
 
 
 def reference_trial_csv(trace, metric, trial):
@@ -320,7 +335,7 @@ class TestMetricSeries:
                                    seed=7, out=str(tmp_path / "o"), **extra)
             problem, trace = traced(cfg)
             # the run holds Sigma and scores each round as it ends
-            assert problem._sigma is not None and problem.data is None, algo
+            assert problem.sigma is not None and problem.data is None, algo
             assert trace.vectors is None, algo
             stored = stored_vectors(cfg, problem)
             assert trace.final_vectors.tobytes() == stored[-1].tobytes(), algo
@@ -339,7 +354,7 @@ class TestMetricSeries:
         assert trace.final_vectors.tobytes() == stored[-1].tobytes()
         expect = [discounted_rayleigh(v, data=problem.data) for v in stored]
         assert problem.metric_series(trace).tolist() == expect
-        assert problem._sigma is None
+        assert problem.sigma is None
 
 
 def test_sequential_sink_gets_each_round_read_only(tmp_path):
@@ -484,12 +499,20 @@ class TestComparison:
                                  out=str(tmp_path / f"m{i}"))
                 for i, algo in enumerate(("eigengame_alpha", "sequential_deflation",
                                           "stochastic_parallel_deflation"))]
+        problem = _Problem(*cfgs)
+        assert problem.data is not None
+        assert problem.sigma.tobytes() == load_covariance(path)[0].tobytes()
         merged = tmp_path / "m.csv"
         run_comparison(cfgs, merged)
         solo = [AGGREGATE_HEADER]
+        merged_rows = merged.read_text().splitlines()[1:]
         for cfg in cfgs:
             result = run_experiment(replace(cfg, out=str(tmp_path / "solo")))
             solo += result["aggregate"].read_text().splitlines()[1:]
+            member = (Path(cfg.out) / "aggregate.csv").read_text().splitlines()[1:]
+            assert member == merged_rows[: len(member)], cfg.algorithm
+            merged_rows = merged_rows[len(member):]
+        assert merged_rows == []
         assert merged.read_text() == "\n".join(solo) + "\n"
 
     def test_cli_entry(self, tmp_path, capsys):
@@ -516,6 +539,21 @@ class TestTheoryCommand:
         assert [r["k"] for r in sched_rows] == ["1", "2"]
         bound_rows = read_csv(result["bounds_csv"])
         assert all(r["ok"] == "1" for r in bound_rows)
+
+    @pytest.mark.parametrize("L", [None, 90])
+    def test_bounds_read_trial_zero_of_run(self, tmp_path, L):
+        cfg = ExperimentConfig(algorithm="parallel_deflation", spectrum="powerlaw",
+                               d=20, K=3, L=L, T=2, seed=4, trials=3,
+                               out=str(tmp_path / "thy"))
+        result = run_theory_report(cfg, extra_rounds=7)
+        n_rounds = L if L is not None else int(result["schedule"].s[-1]) + 7
+        trace = run_trial(replace(cfg, L=n_rounds), _Problem(cfg), 0)
+        rows = read_csv(result["bounds_csv"])
+        assert max(int(r["round"]) for r in rows) == n_rounds
+        got = [float(r["error"]) for r in rows]
+        expect = [float(trace.errors[int(r["round"]) - 1, int(r["k"]) - 1])
+                  for r in rows]
+        assert np.array(got).tobytes() == np.array(expect).tobytes()
 
     def test_k1_trivial(self, tmp_path):
         cfg = ExperimentConfig(algorithm="parallel_deflation", spectrum="powerlaw",
@@ -583,7 +621,7 @@ class TestExitCodes:
 
     def test_empty_pdm1_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "z.pdm1"
-        save_pdm1(path, np.empty((0, 3)))
+        path.write_bytes(b"PDM1" + struct.pack("<QQ", 0, 3))
         code = main(["run", "--algorithm", "parallel_deflation", "--data",
                      str(path), "--K", "1", "--L", "2",
                      "--out", str(tmp_path / "x")])

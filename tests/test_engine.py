@@ -125,6 +125,22 @@ def test_run_shape_checked_before_any_batch():
         stochastic_parallel_deflation(Down(), 4, 5, 1, StepSchedule(), seed=0)
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda s: parallel_deflation(s, 2.0, 5, Top1Config(), seed=0),
+     r"^K must be an integer, got 2\.0$"),
+    (lambda s: parallel_deflation(s, 2, 5.5, Top1Config(), seed=0),
+     r"^L must be an integer, got 5\.5$"),
+    (lambda s: run_eigengame("mu", s, 2, 5, 2.5, eta=0.1, seed=0),
+     r"^local step count must be an integer, got 2\.5$"),
+    (lambda s: stochastic_parallel_deflation(gaussian_stream(s, 8, 0), 2, 5, 1.5,
+                                             StepSchedule(), seed=0),
+     r"^local step count must be an integer, got 1\.5$"),
+], ids=["K-float", "L-float", "eigengame-T-float", "streaming-T-float"])
+def test_non_integer_run_shape_rejected(sigma, call, text):
+    with pytest.raises(ConfigError, match=text):
+        call(sigma)
+
+
 def test_thread_mode_starts_no_thread(sigma):
     # a round is one update on the calling thread in either mode, so the
     # count read as each round ends stays at the count before the run

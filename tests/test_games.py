@@ -114,6 +114,13 @@ class TestNashCheck:
         with pytest.raises(ConfigError):
             nash_check(np.diag([2.0, 1.0]), np.eye(2)[:1], 10, 1e-9, seed=1)
 
+    @pytest.mark.parametrize("radius", [np.inf, np.nan])
+    def test_radius_must_be_finite(self, radius):
+        # an infinite radius made every perturbed payoff NaN, so random
+        # candidates read as strict equilibria
+        with pytest.raises(ConfigError, match="radius"):
+            nash_check(np.diag([2.0, 1.0, 0.5]), np.eye(3)[:2], 10, radius, seed=1)
+
     def test_strict_decrease_across_angle_band(self, rng):
         # every sampled perturbation with angle in [1e-3, 0.3] lowers the payoff
         sigma, truth = random_covariance(np.array([2.0, 1.3, 0.8, 0.4]), seed=6)

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import tracemalloc
 from types import SimpleNamespace
@@ -76,11 +77,20 @@ def test_pdm1_short_read_rejected(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
 def test_pdm1_empty_matrix_rejected(tmp_path, shape):
+    # save_pdm1 refuses to write one, so the header is written by hand
     path = tmp_path / "z.pdm1"
-    save_pdm1(path, np.empty(shape))
+    path.write_bytes(PDM1_MAGIC + struct.pack("<QQ", *shape))
     with pytest.raises(DataFormatError,
                        match=rf"empty PDM1 matrix \({shape[0]} x {shape[1]}\)"):
         load_pdm1(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_save_pdm1_refuses_an_empty_matrix(tmp_path, shape):
+    path = tmp_path / "z.pdm1"
+    with pytest.raises(DataFormatError, match=re.escape(f"non-empty matrices, got {shape}")):
+        save_pdm1(path, np.empty(shape))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("existing", [b"old\n", None], ids=["replace", "new"])

@@ -35,6 +35,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             Top1Config(steps=0)
 
+    @pytest.mark.parametrize("steps", [2.7, 2.0, "2"])
+    def test_non_integer_steps_rejected(self, steps):
+        # 2.7 passed as 2 steps while the trace recorded 2.7
+        with pytest.raises(ConfigError, match="Top1 steps must be an integer"):
+            Top1Config(steps=steps)
+
     def test_hebb_needs_eta(self):
         with pytest.raises(ConfigError):
             Top1Config(method="hebb", steps=3)

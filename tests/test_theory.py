@@ -113,6 +113,11 @@ class TestCascadeRates:
         with pytest.raises(ConfigError):
             cascade_rates([0.5, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_factor(self, bad):
+        with pytest.raises(ConfigError, match="inside"):
+            cascade_rates([0.5, bad])
+
 
 class TestPhaseStartRounds:
     def test_single_worker(self):
@@ -154,6 +159,16 @@ class TestPhaseStartRounds:
     def test_rejects_short_spectrum(self):
         with pytest.raises(DegenerateSpectrumError):
             phase_start_rounds([0.5, 0.5], [1.0, 0.5])
+
+    @pytest.mark.parametrize("rates,spectrum,error", [
+        ([0.5, math.nan], [1.0, 0.5, 0.25], ConfigError),
+        ([0.5, math.inf], [1.0, 0.5, 0.25], ConfigError),
+        ([0.5, 0.5], [1.0, math.nan, 0.25], DegenerateSpectrumError),
+        ([0.5, 0.5], [1.0, 0.5, math.nan], DegenerateSpectrumError),
+    ])
+    def test_rejects_nan(self, rates, spectrum, error):
+        with pytest.raises(error):
+            phase_start_rounds(rates, spectrum)
 
 
 class TestCheckBound:
@@ -222,6 +237,12 @@ class TestConvergenceSchedule:
                                               + str(k) + "$"):
             sched.bound(k, 200)
 
+    @pytest.mark.parametrize("F,m", [([math.nan], [math.nan]), ([math.nan], [0.5]),
+                                     ([0.5], [math.nan]), ([1.5], [0.5])])
+    def test_refuses_factors_or_rates_outside_zero_one(self, F, m):
+        with pytest.raises(ConfigError, match="inside"):
+            ConvergenceSchedule(F=F, m=m, s=[1])
+
     def test_bound_of_each_worker(self):
         sched = ConvergenceSchedule(F=[0.5, 0.5], m=[0.5, 0.75], s=[1, 3])
         assert sched.bound(1, 1) == 6.0 * 2 * 0.5
@@ -280,6 +301,17 @@ class TestDeflationPerturbationBound:
         with pytest.raises(DegenerateSpectrumError):
             deflation_perturbation_bound([2.0, 1.0, 0.5], [0.0])
 
+    @pytest.mark.parametrize("spectrum,errors,error", [
+        ([1.0, 0.5, 0.25], [math.nan], ConfigError),
+        ([1.0, 0.5, 0.25], [math.inf], ConfigError),
+        ([1.0, 0.5, 0.25], [-0.1], ConfigError),
+        ([1.0, math.nan, 0.25], [0.01], DegenerateSpectrumError),
+        ([1.0, 0.5, math.nan], [0.01], DegenerateSpectrumError),
+    ])
+    def test_refuses_non_finite_or_negative_inputs(self, spectrum, errors, error):
+        with pytest.raises(error):
+            deflation_perturbation_bound(spectrum, errors)
+
 
 class TestPolyGeometricThreshold:
     def test_above_peak_is_zero(self):
@@ -322,6 +354,14 @@ class TestCommunicationCost:
     def test_hand_values(self):
         assert communication_cost(4, 1.0, 10) == 60.0
         assert communication_cost(2, 2.5, 4) == 10.0
+
+    @pytest.mark.parametrize("c_comm,dim,named", [
+        (1.0, -5, "dimension"), (1.0, 0, "dimension"), (-2.0, 4, "C_comm"),
+        (math.nan, 4, "C_comm"), (math.inf, 4, "C_comm"),
+    ])
+    def test_refuses_bad_cost_or_dimension(self, c_comm, dim, named):
+        with pytest.raises(ConfigError, match=named):
+            communication_cost(3, c_comm, dim)
 
 
 class TestScheduleExports:
