@@ -31,7 +31,7 @@ from .eigengame import run_eigengame
 from .engine import MODES, OracleScorer, RunTrace, run_round_synchronous
 from .errors import ConfigError, PardeflError
 from .io import atomic_write_bytes, atomic_write_text, load_covariance, load_matrix
-from .linalg import covariance
+from .linalg import as_int, covariance
 from .metrics import (RayleighScorer, gaussian_stream, random_covariance,
                       spectrum_expdecay, spectrum_powerlaw)
 # Not called here (every run is scored round by round by its sink, and the
@@ -85,22 +85,20 @@ class ExperimentConfig:
             if self.spectrum not in SPECTRA:
                 raise ConfigError(f"spectrum must be one of {sorted(SPECTRA)}, "
                                   f"got {self.spectrum!r}")
-            if self.d is None or self.d < 1:
-                raise ConfigError("synthetic source needs a positive d")
-        if self.K < 1:
-            raise ConfigError(f"K must be >= 1, got {self.K}")
-        if self.L is not None and self.L < self.K:
-            raise ConfigError(f"L must be >= K, got L={self.L}, K={self.K}")
-        if self.T < 1:
-            raise ConfigError(f"T must be >= 1, got {self.T}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            try:
+                as_int(self.d, "d", 1)
+            except ConfigError as exc:
+                raise ConfigError(f"synthetic source needs a positive d: {exc}") from None
+        elif self.d is not None:
+            raise ConfigError(f"the data file sets d, so d cannot be given with data "
+                              f"(got d={self.d!r})")
+        for name in ("K", "T", "trials", "batch_size"):
+            as_int(getattr(self, name), name, 1)
+        if self.L is not None:
+            as_int(self.L, "L", self.K)
+        as_int(self.seed, "seed", 0)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         # the library's own rules for solver, T, eta, schedule and tau
         self._top1_config()
         self._step_schedule()

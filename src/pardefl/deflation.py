@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import RunTrace, next_round, run_round_synchronous
 from .errors import ConfigError, NumericalError, PardeflError
-from .linalg import as_vector, check_unit, peer_stack, sym_matrix
+from .linalg import as_int, as_vector, check_unit, peer_stack, sym_matrix
 from .seeding import unit_init
 from .solvers import Top1Config, _nonzero, _top1, _top1_update
 
@@ -49,8 +49,7 @@ def sequential_deflation(sigma, n_components: int, cfg: Top1Config,
     """Classical deflation: returns the (K, d) stack of recovered vectors."""
     sm = sym_matrix(sigma)
     d = sm.shape[0]
-    if not 1 <= n_components <= d:
-        raise ConfigError(f"K must lie in [1, {d}], got {n_components}")
+    n_components = as_int(n_components, "K", 1, d)
     current = sm.copy()  # stays exactly symmetric: each update is lam v v^T
     out = np.empty((n_components, d))
     for k in range(1, n_components + 1):

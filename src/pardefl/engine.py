@@ -32,7 +32,6 @@ scale 1 / diag(V Sigma V^T). The streaming engine uses Op = Y^T Y per batch.
 """
 
 import csv
-import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .io import atomic_write_bytes, save_pdm1
-from .linalg import EigenSystem
+from .linalg import EigenSystem, as_int
 from .seeding import unit_init
 
 MODES = ("serial", "thread")
@@ -212,15 +211,6 @@ def next_round(update, rnd: int, prev: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _count(value, name: str) -> int:
-    """`value` as an int (`operator.index`); a float or any other
-    non-integer is a ConfigError naming the count."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
 def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
                           algorithm, local_steps, variant=None,
                           mode="serial", on_round=None) -> RunTrace:
@@ -230,8 +220,9 @@ def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
     the previous round (round 0 holds the frozen initial vectors); see
     `next_round`. Every round runs on the calling thread; `mode` "serial"
     and "thread" give the same calls and so bitwise the same trace. It
-    checks the run's shape for every round-synchronous engine: integers
-    with 1 <= K <= d, T >= 1 and L >= K.
+    checks the run's shape and seed for every round-synchronous engine
+    (`linalg.as_int`): integers with 1 <= K <= d, T >= 1, L >= K and
+    seed >= 0; the trace records them as those ints.
 
     `on_round(rnd, broadcast)` receives each round's read-only broadcast
     once the round ends, and its `finish(final)` gives the trace's fields
@@ -240,13 +231,10 @@ def run_round_synchronous(*, dim, n_workers, n_rounds, seed, update,
     """
     if mode not in MODES:
         raise ConfigError(f"unknown engine mode {mode!r}")
-    if not 1 <= _count(n_workers, "K") <= dim:
-        raise ConfigError(f"K must lie in [1, {dim}], got {n_workers}")
-    if _count(local_steps, "local step count") < 1:
-        raise ConfigError(f"local step count must be >= 1, got {local_steps}")
-    if _count(n_rounds, "L") < n_workers:
-        raise ConfigError(
-            f"need at least as many rounds as workers, got L={n_rounds} < K={n_workers}")
+    n_workers = as_int(n_workers, "K", 1, dim)
+    local_steps = as_int(local_steps, "local step count", 1)
+    n_rounds = as_int(n_rounds, "L", n_workers)
+    seed = as_int(seed, "seed", 0)
     prev = np.stack([unit_init(seed, k, dim) for k in range(1, n_workers + 1)])
     prev.setflags(write=False)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError, NumericalError
-from .linalg import _eigh, as_vector, check_unit, peer_stack, sym_matrix
+from .linalg import _eigh, as_int, as_vector, check_unit, peer_stack, sym_matrix
 from .seeding import rng_for
 
 _MIN_ANGLE = 1e-6
@@ -81,8 +81,7 @@ class UtilityReport:
     radius: float
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ConfigError("need at least one perturbation sample")
+        as_int(self.n_samples, "n_samples", 1)
         if not self.radius > 0.0:
             raise ConfigError("perturbation radius must be positive")
 
@@ -111,8 +110,7 @@ def nash_check(sigma, candidates, n_samples: int, radius: float,
     cand = np.ascontiguousarray(candidates, dtype=np.float64)
     if cand.ndim != 2 or cand.shape[1] != d:
         raise ConfigError(f"candidates must be (K, d) with d = {d}")
-    if n_samples < 1:
-        raise ConfigError("need at least one perturbation sample")
+    n_samples = as_int(n_samples, "n_samples", 1)
     if not _MIN_ANGLE < radius < np.inf:
         raise ConfigError(f"radius must be finite and exceed {_MIN_ANGLE}, got {radius!r}")
 

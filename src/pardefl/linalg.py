@@ -5,6 +5,7 @@ path in the package, so it serves as the ground-truth oracle in tests and
 validation runs.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,22 @@ _SYM_RTOL = 1e-12
 _ORTHO_TOL = 1e-8
 # rows of V V^T formed at a time by the EigenSystem check
 _ORTHO_ROWS = 64
+
+
+def as_int(value, name: str, low: int, high: int | None = None) -> int:
+    """`value` as an int (`operator.index`) in [low, high], or >= low when
+    `high` is None; a float, any other non-integer or a count out of range
+    is a ConfigError naming the count."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if high is None:
+        if n < low:
+            raise ConfigError(f"{name} must be >= {low}, got {n}")
+    elif not low <= n <= high:
+        raise ConfigError(f"{name} must lie in [{low}, {high}], got {n}")
+    return n
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:

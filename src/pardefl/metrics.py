@@ -13,7 +13,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import ConfigError
-from .linalg import EigenSystem, as_matrix, check_unit, reference_eigh, sym_matrix
+from .linalg import EigenSystem, as_int, as_matrix, check_unit, reference_eigh, sym_matrix
 from .seeding import rng_for
 from .stochastic import GaussianStreamProvider
 
@@ -66,11 +66,12 @@ class RayleighScorer:
     the broadcast: a run over a data file then holds no per-round vectors.
 
     Round l's score is sum_k v_k^T (Y^T Y / n) v_k / k. It is formed either
-    from `gram` = Y^T Y and the row count `n_rows`, with one product V G
-    per round, or from the rows `data` = Y themselves, with one product
-    Y V^T per round. Neither G nor Y is checked here beyond its shape: its
-    caller checks it once (`sym_matrix`, `load_matrix`, `as_matrix`). A
-    broadcast of another shape than (n_workers, d) is a ConfigError.
+    from `gram` = Y^T Y and the row count `n_rows` (an integer >= 1), with
+    one product V G per round, or from the rows `data` = Y themselves, with
+    one product Y V^T per round. Neither G nor Y is checked here beyond its
+    shape: its caller checks it once (`sym_matrix`, `load_matrix`,
+    `as_matrix`). A broadcast of another shape than (n_workers, d) is a
+    ConfigError.
     """
 
     def __init__(self, n_rounds: int, n_workers: int, *, gram=None,
@@ -85,6 +86,7 @@ class RayleighScorer:
             if len(shape) != 2 or shape[0] != shape[1]:
                 raise ConfigError(f"gram must be a square matrix, got shape {shape}")
             dim = shape[0]
+            n_rows = as_int(n_rows, "n_rows", 1)
         self._shape = (n_workers, dim)
         self._weights = 1.0 / (n_rows * np.arange(1, n_workers + 1))
         self.scores = np.empty(n_rounds)
@@ -108,22 +110,21 @@ class RayleighScorer:
 
 def spectrum_powerlaw(dim: int) -> np.ndarray:
     """lambda_k = 1 / sqrt(k), k = 1..d."""
-    if dim < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dim}")
-    return 1.0 / np.sqrt(np.arange(1, dim + 1, dtype=np.float64))
+    k = np.arange(1, as_int(dim, "dimension", 1) + 1, dtype=np.float64)
+    return 1.0 / np.sqrt(k)
 
 
 def spectrum_expdecay(dim: int) -> np.ndarray:
     """lambda_k = 1 / 1.1^k, k = 1..d."""
-    if dim < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dim}")
-    return 1.0 / 1.1 ** np.arange(1, dim + 1, dtype=np.float64)
+    k = np.arange(1, as_int(dim, "dimension", 1) + 1, dtype=np.float64)
+    return 1.0 / 1.1 ** k
 
 
 def validate_spectrum(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if v.size < 1 or np.any(v <= 0.0) or np.any(np.diff(v) > 0.0):
-        raise ConfigError("spectrum must be positive and non-increasing")
+    if (v.size < 1 or not np.all(np.isfinite(v)) or np.any(v <= 0.0)
+            or np.any(np.diff(v) > 0.0)):
+        raise ConfigError("spectrum must be positive, finite and non-increasing")
     return v
 
 

@@ -13,16 +13,15 @@ one batch per worker.
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
+from .linalg import as_int
 
 ETA_STREAM = 982451653  # start vector of `solvers._top_direction`, drawn only there
 
 
 def rng_for(seed: int, *path: int) -> np.random.Generator:
-    """Generator for the stream keyed by (seed, *path); all keys must be >= 0."""
-    key = [int(seed), *(int(p) for p in path)]
-    if any(k < 0 for k in key):
-        raise ConfigError(f"stream key components must be non-negative, got {key}")
+    """Generator for the stream keyed by (seed, *path); every key is an integer >= 0."""
+    key = [as_int(k, "stream key", 0) for k in (seed, *path)]
     return np.random.default_rng(np.random.SeedSequence(key))
 
 

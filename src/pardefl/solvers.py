@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _count, block_steps, dense_round_update
+from .engine import block_steps, dense_round_update
 from .errors import ConfigError, DegenerateSpectrumError, NumericalError
-from .linalg import _eigh, _eigvalsh, as_vector, check_unit, sign_align, sym_matrix
+from .linalg import _eigh, _eigvalsh, as_int, as_vector, check_unit, sign_align, sym_matrix
 from .seeding import ETA_STREAM, rng_for
 
 POWER_ITERATION = "power_iteration"
@@ -42,8 +42,7 @@ class Top1Config:
         if self.method not in (POWER_ITERATION, HEBB):
             raise ConfigError(f"solver must be {POWER_ITERATION!r} or {HEBB!r}, "
                               f"got {self.method!r}")
-        if _count(self.steps, "Top1 steps") < 1:
-            raise ConfigError(f"Top1 steps must be >= 1, got {self.steps}")
+        as_int(self.steps, "Top1 steps", 1)
         if self.method == HEBB and (self.eta is None or not 0.0 < self.eta < np.inf):
             raise ConfigError(f"Hebb's rule needs a positive finite eta, got {self.eta!r}")
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .engine import RunTrace, block_steps, run_round_synchronous
 from .errors import ConfigError, NumericalError, StreamError
-from .linalg import as_matrix, as_vector, peer_stack
+from .linalg import as_int, as_matrix, as_vector, peer_stack
 from .seeding import rng_for
 from .solvers import _top_direction
 
@@ -73,13 +73,9 @@ class GaussianStreamProvider:
         scale = max(float(np.max(np.abs(values))), 1e-300)
         if float(np.min(values)) < -1e-10 * scale:
             raise NumericalError("covariance factor is not positive semidefinite")
-        if batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        self.batch_size = int(batch_size)
+        self.batch_size = as_int(batch_size, "batch size", 1)
         self.dim = vectors.shape[1]
-        self.seed = int(seed)
+        self.seed = as_int(seed, "seed", 0)
         self._factor = np.sqrt(np.clip(values, 0.0, None))[:, None] * vectors
 
     def batch(self, worker: int, rnd: int, step: int) -> np.ndarray:
@@ -94,13 +90,9 @@ class MatrixRowProvider:
 
     def __init__(self, data, batch_size: int, seed: int):
         self._data = as_matrix(data, "data matrix")
-        if batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        self.batch_size = int(batch_size)
+        self.batch_size = as_int(batch_size, "batch size", 1)
         self.dim = self._data.shape[1]
-        self.seed = int(seed)
+        self.seed = as_int(seed, "seed", 0)
 
     def batch(self, worker: int, rnd: int, step: int) -> np.ndarray:
         idx = rng_for(self.seed, worker, rnd, step).integers(

@@ -20,7 +20,7 @@ from .engine import RunTrace
 from .errors import (ConfigError, CoverageError, DegenerateSpectrumError,
                      NumericalError)
 from .io import atomic_write_text
-from .linalg import EigenSystem, _eigh, peer_stack, reference_eigh, sym_matrix
+from .linalg import EigenSystem, _eigh, as_int, peer_stack, reference_eigh, sym_matrix
 from .solvers import contraction_estimate
 
 _INV_E = math.exp(-1.0)
@@ -193,11 +193,8 @@ def schedule_for_run(sigma, truth: EigenSystem, n_components: int,
     trace needs no rescaling).
     """
     sm = sym_matrix(sigma)
-    if not 1 <= n_components <= sm.shape[0] - 1:
-        raise ConfigError(
-            f"K must lie in [1, d-1] for schedule gaps, got {n_components}")
-    if local_steps < 1:
-        raise ConfigError(f"local step count must be >= 1, got {local_steps}")
+    n_components = as_int(n_components, "K", 1, sm.shape[0] - 1)  # K gaps need d > K
+    local_steps = as_int(local_steps, "local step count", 1)
     peers = peer_stack(truth.top(n_components - 1), sm.shape[0], unit=True)
     factors = np.empty(n_components)
     for k in range(1, n_components + 1):
@@ -354,12 +351,10 @@ def poly_geometric_threshold(m: float, eps: float) -> float:
 
 def communication_cost(n_workers: int, c_comm: float, dim: int) -> float:
     """Per-iteration broadcast cost K (K - 1) / 2 * C_comm * d."""
-    if n_workers < 1:
-        raise ConfigError(f"need at least one worker, got {n_workers}")
+    n_workers = as_int(n_workers, "K", 1)
     if not 0.0 <= c_comm < math.inf:
         raise ConfigError(f"C_comm must be finite and non-negative, got {c_comm!r}")
-    if dim < 1:
-        raise ConfigError(f"dimension d must be >= 1, got {dim}")
+    dim = as_int(dim, "dimension d", 1)
     return 0.5 * n_workers * (n_workers - 1) * c_comm * dim
 
 

@@ -1,8 +1,8 @@
 """Public entries check their inputs once; the cores behind them check nothing.
 
 Covers the shared peer-stack parser, non-finite rows and step sizes, the
-non-finite-norm collapse of every step loop, and how many times one public
-call validates sigma.
+non-finite-norm collapse of every step loop, the one integer rule for every
+count, and how many times one public call validates sigma.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 import pardefl as pd
 from pardefl import ConfigError, NumericalError
 from pardefl import deflation, eigengame, games, linalg, metrics, solvers, theory
+from pardefl.cli import ExperimentConfig
 from pardefl.linalg import peer_stack
 from pardefl.metrics import random_covariance
 
@@ -226,6 +227,87 @@ class TestTop1FnOutputChecked:
                            match="^worker 1, round 1: top1_fn output has non-finite"):
             pd.parallel_deflation(SIGMA, 2, 3, pd.Top1Config(), seed=0,
                                   top1_fn=lambda matrix, v: np.nan * v)
+
+
+def _config(**kw):
+    return ExperimentConfig(**{"spectrum": "powerlaw", "d": 6, "K": 2, "L": 3, **kw})
+
+
+def _report(n):
+    return games.UtilityReport(k=1, value_at_candidate=1.0, max_perturbed_value=0.5,
+                               n_samples=n, radius=0.1)
+
+
+# every caller-supplied count goes through `linalg.as_int`: a float is refused,
+# naming the count, where it was truncated or crashed, and an out-of-range
+# count gets the one range message
+COUNTS = {
+    "engine-seed-negative": (lambda: pd.parallel_deflation(SIGMA, 2, 5, pd.Top1Config(),
+                                                           seed=-1),
+                             r"^seed must be >= 0, got -1$"),
+    "engine-L-below-K": (lambda: pd.run_eigengame("mu", SIGMA, 3, 2, 1, eta=0.1),
+                         r"^L must be >= 3, got 2$"),
+    "sequential-K-float": (lambda: pd.sequential_deflation(SIGMA, 2.0, pd.Top1Config(), 0),
+                           r"^K must be an integer, got 2\.0$"),
+    "schedule-T-float": (lambda: pd.schedule_for_run(SIGMA, TRUTH, 2, 2.5),
+                         r"^local step count must be an integer, got 2\.5$"),
+    "schedule-K-float": (lambda: pd.schedule_for_run(SIGMA, TRUTH, 2.0, 2),
+                         r"^K must be an integer, got 2\.0$"),
+    "schedule-K-d": (lambda: pd.schedule_for_run(SIGMA, TRUTH, 4, 2),
+                     r"^K must lie in \[1, 3\], got 4$"),
+    "gaussian-batch-float": (lambda: pd.gaussian_stream(TRUTH, 2.7, 0),
+                             r"^batch size must be an integer, got 2\.7$"),
+    "gaussian-seed-float": (lambda: pd.gaussian_stream(TRUTH, 2, 1.9),
+                            r"^seed must be an integer, got 1\.9$"),
+    "rows-batch-float": (lambda: pd.MatrixRowProvider(np.ones((3, 2)), 2.7, 0),
+                         r"^batch size must be an integer, got 2\.7$"),
+    "rows-seed-float": (lambda: pd.MatrixRowProvider(np.ones((3, 2)), 2, 1.9),
+                        r"^seed must be an integer, got 1\.9$"),
+    "rng-seed-float": (lambda: pd.rng_for(0.5),
+                       r"^stream key must be an integer, got 0\.5$"),
+    "rng-key-negative": (lambda: pd.rng_for(1, 2, -1),
+                         r"^stream key must be >= 0, got -1$"),
+    "unit-init-seed-float": (lambda: pd.unit_init(0.7, 1, 4),
+                             r"^stream key must be an integer, got 0\.7$"),
+    "powerlaw-dim-float": (lambda: metrics.spectrum_powerlaw(2.5),
+                           r"^dimension must be an integer, got 2\.5$"),
+    "expdecay-dim-float": (lambda: metrics.spectrum_expdecay(2.5),
+                           r"^dimension must be an integer, got 2\.5$"),
+    "scorer-n-rows-missing": (lambda: metrics.RayleighScorer(2, 2, gram=SIGMA),
+                              r"^n_rows must be an integer, got None$"),
+    "scorer-n-rows-0": (lambda: metrics.RayleighScorer(2, 2, gram=SIGMA, n_rows=0),
+                        r"^n_rows must be >= 1, got 0$"),
+    "nash-samples-float": (lambda: pd.nash_check(SIGMA, TRUTH.vectors[:2], 2.5, 0.1, 0),
+                           r"^n_samples must be an integer, got 2\.5$"),
+    "nash-samples-0": (lambda: pd.nash_check(SIGMA, TRUTH.vectors[:2], 0, 0.1, 0),
+                       r"^n_samples must be >= 1, got 0$"),
+    "report-samples-float": (lambda: _report(2.5),
+                             r"^n_samples must be an integer, got 2\.5$"),
+    "report-samples-0": (lambda: _report(0), r"^n_samples must be >= 1, got 0$"),
+    "comm-K-float": (lambda: theory.communication_cost(2.5, 1.0, 4),
+                     r"^K must be an integer, got 2\.5$"),
+    "comm-K-0": (lambda: theory.communication_cost(0, 1.0, 4), r"^K must be >= 1, got 0$"),
+    "comm-d-float": (lambda: theory.communication_cost(2, 1.0, 4.5),
+                     r"^dimension d must be an integer, got 4\.5$"),
+    "config-d-float": (lambda: _config(d=8.5),
+                       r"^synthetic source needs a positive d: d must be an integer, "
+                       r"got 8\.5$"),
+    "config-K-float": (lambda: _config(K=2.0), r"^K must be an integer, got 2\.0$"),
+    "config-L-float": (lambda: _config(L=5.5), r"^L must be an integer, got 5\.5$"),
+    "config-L-below-K": (lambda: _config(L=1), r"^L must be >= 2, got 1$"),
+    "config-T-float": (lambda: _config(T=2.5), r"^T must be an integer, got 2\.5$"),
+    "config-trials-float": (lambda: _config(trials=1.5),
+                            r"^trials must be an integer, got 1\.5$"),
+    "config-seed-float": (lambda: _config(seed=1.5), r"^seed must be an integer, got 1\.5$"),
+    "config-batch-float": (lambda: _config(batch_size=2.5),
+                           r"^batch_size must be an integer, got 2\.5$"),
+}
+
+
+@pytest.mark.parametrize("call, text", COUNTS.values(), ids=COUNTS.keys())
+def test_every_count_is_an_integer_in_range(call, text):
+    with pytest.raises(ConfigError, match=text):
+        call()
 
 
 @pytest.fixture

@@ -126,6 +126,24 @@ class TestCheckedAtLoad:
         assert named in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_d_beside_data_refused(self, tmp_path, capsys, rng, command):
+        # the file sets d: a stale d ran at the file's width, and two compare
+        # files that differed only in it were refused as different sources
+        base = dict(algorithm="parallel_deflation", data=data_file(tmp_path, rng),
+                    K="2", L="3", trials="1")
+        if command == "run":
+            argv = ["run", *as_flags({**base, "d": "3", "out": tmp_path / "x"})]
+        else:
+            good = write_cfg(tmp_path / "a.cfg", {**base, "out": tmp_path / "x"})
+            stale = write_cfg(tmp_path / "b.cfg", {**base, "algorithm": "eigengame_mu",
+                                                   "d": "3", "out": tmp_path / "y"})
+            argv = ["compare", str(good), str(stale), "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 2
+        assert "the data file sets d, so d cannot be given with data (got d=3)" in \
+            capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     def test_config_line_without_equals_sign(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("spectrum=powerlaw\nd 6\n")

@@ -135,7 +135,15 @@ def test_run_shape_checked_before_any_batch():
     (lambda s: stochastic_parallel_deflation(gaussian_stream(s, 8, 0), 2, 5, 1.5,
                                              StepSchedule(), seed=0),
      r"^local step count must be an integer, got 1\.5$"),
-], ids=["K-float", "L-float", "eigengame-T-float", "streaming-T-float"])
+    (lambda s: parallel_deflation(s, 2, 5, Top1Config(), seed=2.5),
+     r"^seed must be an integer, got 2\.5$"),
+    (lambda s: run_eigengame("alpha", s, 2, 5, 1, eta=0.1, seed=2.5),
+     r"^seed must be an integer, got 2\.5$"),
+    (lambda s: stochastic_parallel_deflation(gaussian_stream(s, 8, 0), 2, 5, 1,
+                                             StepSchedule(), seed=2.5),
+     r"^seed must be an integer, got 2\.5$"),
+], ids=["K-float", "L-float", "eigengame-T-float", "streaming-T-float",
+        "seed-float", "eigengame-seed-float", "streaming-seed-float"])
 def test_non_integer_run_shape_rejected(sigma, call, text):
     with pytest.raises(ConfigError, match=text):
         call(sigma)

@@ -4,7 +4,7 @@ import pytest
 from pardefl import (ConfigError, batch_rayleigh, covariance, normalize,
                      recovery_error, reference_eigh)
 from pardefl.metrics import (discounted_rayleigh, random_covariance,
-                             spectrum_expdecay, spectrum_powerlaw)
+                             spectrum_expdecay, spectrum_powerlaw, validate_spectrum)
 
 
 class TestRecoveryError:
@@ -214,3 +214,12 @@ class TestRandomCovariance:
             random_covariance(np.array([1.0, -0.5]), seed=1)
         with pytest.raises(ConfigError):
             random_covariance(np.array([0.5, 1.0]), seed=1)
+
+    @pytest.mark.parametrize("spectrum", [[1.0, np.nan, 0.5], [np.inf, 1.0],
+                                          [np.nan], [np.inf]])
+    def test_spectrum_check_refuses_non_finite_entries(self, spectrum):
+        # NaN compares false both ways and inf is positive and non-increasing,
+        # so they passed the spectrum check and failed later in EigenSystem
+        with pytest.raises(ConfigError,
+                           match="^spectrum must be positive, finite and non-increasing$"):
+            validate_spectrum(spectrum)

@@ -15,7 +15,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["dense-deflation", "eigengame-data"])
+@pytest.mark.parametrize("workload", ["dense-deflation", "streaming-gaussian",
+                                      "eigengame-data"])
 def test_workload_runs_and_checks_clean(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
